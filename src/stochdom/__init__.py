@@ -50,9 +50,6 @@ from .exact import (
     SignVerdict,
     nonneg_on_interval,
     nonneg_on_ray,
-    poly_antiderivative,
-    poly_combine,
-    poly_eval,
     pw_antiderivative,
     pw_linear_combine,
 )
@@ -95,13 +92,11 @@ from .transforms import (
     N_MAX,
     asymptote,
     integrated_cdf,
-    integrated_cdf_via_recursion,
+    integrated_curve,
+    integrated_curve_via_recursion,
     integrated_quantile,
-    integrated_quantile_via_recursion,
     integrated_survival,
-    integrated_survival_via_recursion,
     integrated_upper_quantile,
-    integrated_upper_quantile_via_recursion,
     orderstat_expansion,
 )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from ._scalar import rat_str
@@ -32,28 +31,26 @@ from .falsify import GenConfig, PropertySuiteReport, registered_suites, run_prop
 from .fileio import curve_sample_csv, export_curve, load_distribution
 from .filters import FilterReport, isd_orderstat_filter, sd_moment_filter
 from .noise import NoiseSearchReport, SearchBudget, SearchStatus, noise_search
-from .transforms import (
-    CurveKind,
-    asymptote,
-    integrated_cdf,
-    integrated_quantile,
-    integrated_survival,
-    integrated_upper_quantile,
-)
+from .transforms import CurveKind, asymptote, integrated_curve
 
-_KINDS = {
-    "cdf": CurveKind.CDF,
-    "survival": CurveKind.SURVIVAL,
-    "quantile": CurveKind.QUANTILE,
-    "upper-quantile": CurveKind.UPPER_QUANTILE,
-}
 
-_CURVES = {
-    CurveKind.CDF: integrated_cdf,
-    CurveKind.SURVIVAL: integrated_survival,
-    CurveKind.QUANTILE: integrated_quantile,
-    CurveKind.UPPER_QUANTILE: integrated_upper_quantile,
-}
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``, so a count
+    out of range is a usage error (exit 2) instead of a crash or an empty
+    answer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _bound_json(b):
@@ -195,11 +192,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("moments", help="raw moments and expected minimum order statistics")
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=_at_least(1), required=True)
     p.add_argument("dist")
 
     p = sub.add_parser("transform", help="emit an integrated curve's exact pieces")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("dist")
 
@@ -215,22 +212,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise-search", help="search for dominance-creating noise")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--relation", choices=("sd", "isd"), default="sd")
-    p.add_argument("--max-candidates", type=int, default=64)
-    p.add_argument("--support-cap", type=int, default=10**6)
-    p.add_argument("--spread", type=int, default=1)
+    p.add_argument("--max-candidates", type=_at_least(1), default=64)
+    p.add_argument("--support-cap", type=_at_least(1), default=10**6)
+    p.add_argument("--spread", type=_at_least(1), default=1)
     p.add_argument("left")
     p.add_argument("right")
 
     p = sub.add_parser("falsify", help="run a registered property suite")
     p.add_argument("--suite", required=True, help=", ".join(registered_suites()))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--denominator-cap", type=int, default=12)
+    p.add_argument("--denominator-cap", type=_at_least(1), default=12)
 
     p = sub.add_parser("export-curve", help="sample a curve on a rational grid")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--grid", type=int, default=33)
+    p.add_argument("--grid", type=_at_least(2), default=33)
     p.add_argument("--csv-out", default=None)
     p.add_argument("dist")
 
@@ -278,8 +275,8 @@ def _dispatch(args) -> int:
 
     if args.command == "transform":
         d = load_distribution(args.dist)
-        kind = _KINDS[args.kind]
-        curve = _CURVES[kind](d, args.order).curve
+        kind = CurveKind(args.kind)
+        curve = integrated_curve(d, kind, args.order).curve
         result = {
             "kind": kind.value,
             "order": args.order,
@@ -357,7 +354,7 @@ def _dispatch(args) -> int:
 
     if args.command == "export-curve":
         d = load_distribution(args.dist)
-        sample = export_curve(d, _KINDS[args.kind], args.order, args.grid)
+        sample = export_curve(d, CurveKind(args.kind), args.order, args.grid)
         if args.csv_out:
             with open(args.csv_out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(curve_sample_csv(sample))

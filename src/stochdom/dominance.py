@@ -15,6 +15,13 @@ Strictness means the difference curve is nonzero somewhere, which for
 these curve families is equivalent to strict inequality at some point;
 Equivalent (difference identically zero) happens only for identical
 distributions.  Witnesses carry an exact point and the exact gap there.
+
+Every verdict comes from one sign sweep over the difference curve:
+``pw_nonneg`` decides each piece once, which gives the certificate and
+the first strictly negative point, and the pieces are then screened
+negated, in order, only until the first one with a strictly positive
+point.  The two points settle the relation: no negative point means
+LeftDominated, no positive point RightDominated, both Incomparable.
 """
 
 from __future__ import annotations
@@ -25,14 +32,7 @@ from typing import Optional
 
 from ._scalar import Rat, rat
 from .distributions import DiscreteDistribution, min_orderstat_mean
-from .exact import (
-    PiecewisePolynomial,
-    PieceSignDigest,
-    pw_find_positive,
-    pw_linear_combine,
-    pw_neg,
-    pw_nonneg,
-)
+from .exact import Piece, PiecewisePolynomial, _piece_sign, pw_linear_combine, pw_nonneg
 from .transforms import integrated_cdf, integrated_quantile
 
 
@@ -87,55 +87,37 @@ def _interiorize(curve: PiecewisePolynomial, point, lo, hi):
         probe = (probe + point) / 2
 
 
-def _witness_positive(diff: PiecewisePolynomial, open_unit: bool) -> Witness:
-    found = pw_find_positive(diff)
-    assert found is not None, "strictness witness must exist for a nonzero curve"
-    point, value = found
+def _witness(diff: PiecewisePolynomial, point, gap, open_unit: bool) -> Witness:
+    """On the unit interval the point moves into (0, 1), where the gap is
+    read again; the move keeps the sign of the curve."""
     if open_unit:
         point = _interiorize(diff, point, 0, 1)
-        value = diff(point)
-    return Witness(point, value)
+        gap = abs(diff(point))
+    return Witness(point, gap)
 
 
 def _decide(diff: PiecewisePolynomial, mode: str, order: int, open_unit: bool) -> Verdict:
     """Shared comparison core: LeftDominated iff diff >= 0 everywhere."""
     if diff.is_zero:
         return Verdict(Relation.EQUIVALENT, False, None, None, (), mode, order)
-    res_pos = pw_nonneg(diff)
-    if res_pos.nonnegative:
-        return Verdict(
-            Relation.LEFT_DOMINATED,
-            True,
-            _witness_positive(diff, open_unit),
-            None,
-            res_pos.pieces,
-            mode,
-            order,
-        )
-    neg_point, neg_value = res_pos.witness, res_pos.witness_value
-    if open_unit:
-        neg_point = _interiorize(diff, neg_point, 0, 1)
-        neg_value = diff(neg_point)
-    witness_right = Witness(neg_point, -neg_value)
-    res_neg = pw_nonneg(pw_neg(diff))
-    if res_neg.nonnegative:
-        return Verdict(
-            Relation.RIGHT_DOMINATED,
-            True,
-            None,
-            witness_right,
-            res_pos.pieces,
-            mode,
-            order,
-        )
+    res = pw_nonneg(diff)
+    witness_left = witness_right = None
+    if not res.nonnegative:
+        witness_right = _witness(diff, res.witness, -res.witness_value, open_unit)
+    for pc in diff.pieces:
+        rep = _piece_sign(Piece(pc.lower, pc.upper, -pc.poly))
+        if not rep.nonnegative:
+            witness_left = _witness(diff, rep.witness, -rep.witness_value, open_unit)
+            break
+    if witness_right is None:
+        relation = Relation.LEFT_DOMINATED
+    elif witness_left is None:
+        relation = Relation.RIGHT_DOMINATED
+    else:
+        relation = Relation.INCOMPARABLE
+    strict = relation is not Relation.INCOMPARABLE
     return Verdict(
-        Relation.INCOMPARABLE,
-        False,
-        _witness_positive(diff, open_unit),
-        witness_right,
-        res_pos.pieces,
-        mode,
-        order,
+        relation, strict, witness_left, witness_right, res.pieces, mode, order
     )
 
 

@@ -160,21 +160,6 @@ class Polynomial:
         )
 
 
-def poly_eval(p: Polynomial, x) -> Rat:
-    """Exact Horner evaluation."""
-    return p(x)
-
-
-def poly_combine(a: Polynomial, b: Polynomial, ca, cb) -> Polynomial:
-    """ca*a + cb*b in canonical form."""
-    return a.scale(ca) + b.scale(cb)
-
-
-def poly_antiderivative(p: Polynomial, anchor, value_at_anchor) -> Polynomial:
-    """The antiderivative of p anchored at a point, exactly."""
-    return p.antiderivative(anchor, value_at_anchor)
-
-
 def monomial_power(root, k: int) -> Polynomial:
     """(x - root)**k expanded with exact binomial coefficients."""
     root = rat(root)
@@ -332,6 +317,34 @@ def _isolate_roots(g: tuple, lo, hi) -> list:
     return out
 
 
+def _midpoint(a, b) -> Rat:
+    return (a + b) / 2
+
+
+def _narrow(g: tuple, a, b, probe, stop):
+    """Shrink the isolating interval (a, b) of one simple root of g.
+
+    Probes at ``probe(a, b)`` and keeps the half that still holds the
+    sign change until ``stop(a, b, probes_made)`` holds.  The endpoints
+    are never roots and bracket the root, so a probe's sign against the
+    left endpoint's alone picks the half.  Returns ('exact', c) when a
+    probe lands on the root, else the narrowed ('interval', a, b).
+    """
+    sa = _sign(_peval(g, a))
+    k = 0
+    while not stop(a, b, k):
+        c = probe(a, b)
+        k += 1
+        sc = _sign(_peval(g, c))
+        if sc == 0:
+            return ("exact", c)
+        if sc != sa:
+            b = c
+        else:
+            a = c
+    return ("interval", a, b)
+
+
 def _refine_strictly_away(h: tuple, loc, point):
     """Refine an isolating interval of h until it excludes ``point``.
 
@@ -343,36 +356,13 @@ def _refine_strictly_away(h: tuple, loc, point):
     _, u, v = loc
     if v < point or u > point:
         return loc
-    hu = _sign(_peval(h, u))
     if u < point < v:
-        hp = _sign(_peval(h, point))
-        if hp != hu:
+        if _sign(_peval(h, point)) != _sign(_peval(h, u)):
             v = point
         else:
-            u, hu = point, hp
+            u = point
     # point is now an endpoint; shrink that endpoint strictly inward.
-    if v == point:
-        while v == point:
-            c = (u + v) / 2
-            hc = _sign(_peval(h, c))
-            if hc == 0:
-                return ("exact", c)
-            if hc != hu:
-                v = c
-            else:
-                u = c
-    elif u == point:
-        hv = _sign(_peval(h, v))
-        while u == point:
-            c = (u + v) / 2
-            hc = _sign(_peval(h, c))
-            if hc == 0:
-                return ("exact", c)
-            if hc != hv:
-                u = c
-            else:
-                v = c
-    return ("interval", u, v)
+    return _narrow(h, u, v, _midpoint, lambda a, b, k: a != point and b != point)
 
 
 def _rationalize(g: tuple, loc):
@@ -381,17 +371,7 @@ def _rationalize(g: tuple, loc):
     if loc[0] == "exact":
         return loc
     _, a, b = loc
-    sa = _sign(_peval(g, a))
-    for _ in range(_RATIONALIZE_ROUNDS):
-        r = _simplest_between(a, b)
-        v = _peval(g, r)
-        if v == 0:
-            return ("exact", r)
-        if _sign(v) != sa:
-            b = r
-        else:
-            a = r
-    return ("interval", a, b)
+    return _narrow(g, a, b, _simplest_between, lambda a, b, k: k == _RATIONALIZE_ROUNDS)
 
 
 def _pull_edge_inward(g: tuple, loc, lo, hi):
@@ -399,29 +379,7 @@ def _pull_edge_inward(g: tuple, loc, lo, hi):
     if loc[0] == "exact":
         return loc
     _, a, b = loc
-    if a == lo:
-        sb = _sign(_peval(g, b))
-        while a == lo:
-            c = (a + b) / 2
-            sc = _sign(_peval(g, c))
-            if sc == 0:
-                return ("exact", c)
-            if sc != sb:
-                a = c
-            else:
-                b = c
-    if b == hi:
-        sa = _sign(_peval(g, a))
-        while b == hi:
-            c = (a + b) / 2
-            sc = _sign(_peval(g, c))
-            if sc == 0:
-                return ("exact", c)
-            if sc != sa:
-                b = c
-            else:
-                a = c
-    return ("interval", a, b)
+    return _narrow(g, a, b, _midpoint, lambda a, b, k: a != lo and b != hi)
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +625,6 @@ class PiecewisePolynomial:
         return self.piece_at(x).poly(x)
 
 
-def pw_scale(f: PiecewisePolynomial, c) -> PiecewisePolynomial:
-    c = rat(c)
-    return PiecewisePolynomial(
-        tuple(Piece(pc.lower, pc.upper, pc.poly.scale(c)) for pc in f.pieces),
-        f.continuity_class,
-    )
-
-
-def pw_neg(f: PiecewisePolynomial) -> PiecewisePolynomial:
-    return pw_scale(f, -1)
-
-
 def _coalesce(pieces: list[Piece]) -> list[Piece]:
     out: list[Piece] = []
     for pc in pieces:
@@ -866,12 +812,3 @@ def pw_nonneg(f: PiecewisePolynomial) -> PwSignResult:
         tuple(sorted(touch)),
         tuple(digests),
     )
-
-
-def pw_find_positive(f: PiecewisePolynomial) -> Optional[tuple]:
-    """A rational point where f is strictly positive, with its exact
-    value, or None when f <= 0 everywhere."""
-    res = pw_nonneg(pw_neg(f))
-    if res.witness is None:
-        return None
-    return res.witness, -res.witness_value

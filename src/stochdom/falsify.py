@@ -46,9 +46,10 @@ from .noise import (
     noise_search,
 )
 from .transforms import (
+    CurveKind,
     asymptote,
     integrated_cdf,
-    integrated_cdf_via_recursion,
+    integrated_curve_via_recursion,
     integrated_quantile,
     integrated_survival,
 )
@@ -733,8 +734,8 @@ def _reverify_found(report: NoiseSearchReport, x, y, n: int) -> bool:
     an independent path from the closed forms the search used."""
     cx = convolve(x, report.z)
     cy = convolve(y, report.z)
-    fd = integrated_cdf_via_recursion(cy, n).curve
-    fo = integrated_cdf_via_recursion(cx, n).curve
+    fd = integrated_curve_via_recursion(cy, CurveKind.CDF, n).curve
+    fo = integrated_curve_via_recursion(cx, CurveKind.CDF, n).curve
     diff = pw_linear_combine(fd, fo, 1, -1)
     return (not diff.is_zero) and pw_nonneg(diff).nonnegative
 

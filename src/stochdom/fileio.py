@@ -23,21 +23,8 @@ from typing import Optional
 
 from ._scalar import Rat, rat, rat_str, decimal_str
 from .distributions import DiscreteDistribution, dist_validate
-from .errors import ParseError, StochdomError
-from .transforms import (
-    CurveKind,
-    integrated_cdf,
-    integrated_quantile,
-    integrated_survival,
-    integrated_upper_quantile,
-)
-
-_BUILDERS = {
-    CurveKind.CDF: integrated_cdf,
-    CurveKind.SURVIVAL: integrated_survival,
-    CurveKind.QUANTILE: integrated_quantile,
-    CurveKind.UPPER_QUANTILE: integrated_upper_quantile,
-}
+from .errors import ParseError
+from .transforms import CurveKind, integrated_curve
 
 
 def _parse_scalar(raw, where: str) -> Rat:
@@ -121,7 +108,7 @@ def export_curve(
     real-line kinds."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    curve = _BUILDERS[kind](d, n).curve
+    curve = integrated_curve(d, kind, n).curve
     if kind in (CurveKind.QUANTILE, CurveKind.UPPER_QUANTILE):
         lo, hi = rat(0), rat(1)
     else:
@@ -141,9 +128,3 @@ def curve_sample_csv(sample: CurveSample) -> str:
     for t_str, value_str, _ in sample.points:
         lines.append(f"{t_str},{value_str}")
     return "\n".join(lines) + "\n"
-
-
-def ensure_stochdom_error(exc: Exception) -> StochdomError:
-    if isinstance(exc, StochdomError):
-        return exc
-    return StochdomError(str(exc))

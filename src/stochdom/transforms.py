@@ -13,7 +13,7 @@ with n = 1 reducing to the right-continuous step CDF/survival and the
 left-continuous quantile step.  The order-n curves for n >= 2 are
 C^{n-2}, the CDF kind is nonnegative, nondecreasing and convex, and each
 closed form equals the n-fold anchored integral of the step function
-(the recursive constructors below rebuild them that way as an
+(``integrated_curve_via_recursion`` rebuilds them that way as an
 independent cross-check).
 
 Beyond the support maximum the cdf curve coincides exactly with a
@@ -84,23 +84,14 @@ def integrated_cdf(d: DiscreteDistribution, n: int) -> IntegratedCurve:
     """n-fold left-tail integral of the CDF; step CDF for n = 1."""
     _check_order(n)
     values, masses = d.values, d.masses
-    pieces = []
-    if n == 1:
-        cum = d.cumulative_masses()
-        pieces.append(Piece(NEG_INF, values[0], Polynomial.zero()))
-        edges = list(values) + [POS_INF]
-        for i in range(len(values)):
-            pieces.append(Piece(edges[i], edges[i + 1], Polynomial.constant(cum[i])))
-        curve = PiecewisePolynomial.make(pieces, -1, validate=False)
-    else:
-        factor = _inv_factorial(n - 1)
-        pieces.append(Piece(NEG_INF, values[0], Polynomial.zero()))
-        acc = Polynomial.zero()
-        edges = list(values) + [POS_INF]
-        for i in range(len(values)):
-            acc = acc + monomial_power(values[i], n - 1).scale(factor * masses[i])
-            pieces.append(Piece(edges[i], edges[i + 1], acc))
-        curve = PiecewisePolynomial.make(pieces, n - 2)
+    factor = _inv_factorial(n - 1)
+    pieces = [Piece(NEG_INF, values[0], Polynomial.zero())]
+    acc = Polynomial.zero()
+    edges = list(values) + [POS_INF]
+    for i in range(len(values)):
+        acc = acc + monomial_power(values[i], n - 1).scale(factor * masses[i])
+        pieces.append(Piece(edges[i], edges[i + 1], acc))
+    curve = PiecewisePolynomial.make(pieces, n - 2)
     return IntegratedCurve(CurveKind.CDF, n, curve, d)
 
 
@@ -109,31 +100,18 @@ def integrated_survival(d: DiscreteDistribution, n: int) -> IntegratedCurve:
     and beyond the support maximum."""
     _check_order(n)
     values, masses = d.values, d.masses
-    pieces = []
-    if n == 1:
-        cum = d.cumulative_masses()
-        pieces.append(Piece(NEG_INF, values[0], Polynomial.constant(1)))
-        edges = list(values) + [POS_INF]
-        for i in range(len(values)):
-            pieces.append(
-                Piece(edges[i], edges[i + 1], Polynomial.constant(ONE - cum[i]))
-            )
-        curve = PiecewisePolynomial.make(pieces, -1, validate=False)
-    else:
-        factor = _inv_factorial(n - 1)
-        sign = ONE if (n - 1) % 2 == 0 else -ONE
-        acc = Polynomial.zero()
-        for v, m in d.atoms:
-            # (x_i - x)^{n-1} = (-1)^{n-1} (x - x_i)^{n-1}
-            acc = acc + monomial_power(v, n - 1).scale(sign * factor * m)
-        tail = [Piece(NEG_INF, values[0], acc)]
-        edges = list(values) + [POS_INF]
-        for i in range(len(values)):
-            acc = acc - monomial_power(values[i], n - 1).scale(
-                sign * factor * masses[i]
-            )
-            tail.append(Piece(edges[i], edges[i + 1], acc))
-        curve = PiecewisePolynomial.make(tail, n - 2)
+    factor = _inv_factorial(n - 1)
+    sign = ONE if (n - 1) % 2 == 0 else -ONE
+    acc = Polynomial.zero()
+    for v, m in d.atoms:
+        # (x_i - x)^{n-1} = (-1)^{n-1} (x - x_i)^{n-1}
+        acc = acc + monomial_power(v, n - 1).scale(sign * factor * m)
+    tail = [Piece(NEG_INF, values[0], acc)]
+    edges = list(values) + [POS_INF]
+    for i in range(len(values)):
+        acc = acc - monomial_power(values[i], n - 1).scale(sign * factor * masses[i])
+        tail.append(Piece(edges[i], edges[i + 1], acc))
+    curve = PiecewisePolynomial.make(tail, n - 2)
     return IntegratedCurve(CurveKind.SURVIVAL, n, curve, d)
 
 
@@ -143,20 +121,15 @@ def integrated_quantile(d: DiscreteDistribution, n: int) -> IntegratedCurve:
     _check_order(n)
     step = quantile(d)
     cuts, values = step.cut_points, step.values
+    factor = _inv_factorial(n - 1)
     pieces = []
-    if n == 1:
-        for i, v in enumerate(values):
-            pieces.append(Piece(cuts[i], cuts[i + 1], Polynomial.constant(v)))
-        curve = PiecewisePolynomial.make(pieces, -1, validate=False)
-    else:
-        factor = _inv_factorial(n - 1)
-        acc = Polynomial.zero()
-        prev_value = ZERO
-        for i, v in enumerate(values):
-            acc = acc + monomial_power(cuts[i], n - 1).scale(factor * (v - prev_value))
-            prev_value = v
-            pieces.append(Piece(cuts[i], cuts[i + 1], acc))
-        curve = PiecewisePolynomial.make(pieces, n - 2)
+    acc = Polynomial.zero()
+    prev_value = ZERO
+    for i, v in enumerate(values):
+        acc = acc + monomial_power(cuts[i], n - 1).scale(factor * (v - prev_value))
+        prev_value = v
+        pieces.append(Piece(cuts[i], cuts[i + 1], acc))
+    curve = PiecewisePolynomial.make(pieces, n - 2)
     return IntegratedCurve(CurveKind.QUANTILE, n, curve, d)
 
 
@@ -165,27 +138,33 @@ def integrated_upper_quantile(d: DiscreteDistribution, n: int) -> IntegratedCurv
     _check_order(n)
     step = quantile(d)
     cuts, values = step.cut_points, step.values
-    pieces = []
-    if n == 1:
-        for i, v in enumerate(values):
-            pieces.append(Piece(cuts[i], cuts[i + 1], Polynomial.constant(v)))
-        curve = PiecewisePolynomial.make(pieces, -1, validate=False)
-    else:
-        factor = _inv_factorial(n - 1)
-        sign = ONE if (n - 1) % 2 == 0 else -ONE
-        m = len(values)
-        rev = []
-        acc = monomial_power(ONE, n - 1).scale(sign * factor * values[-1])
-        rev.append(Piece(cuts[m - 1], cuts[m], acc))
-        for i in range(m - 2, -1, -1):
-            # (c_i - p)^{n-1} = (-1)^{n-1}(p - c_i)^{n-1}
-            acc = acc - monomial_power(cuts[i + 1], n - 1).scale(
-                sign * factor * (values[i + 1] - values[i])
-            )
-            rev.append(Piece(cuts[i], cuts[i + 1], acc))
-        rev.reverse()
-        curve = PiecewisePolynomial.make(rev, n - 2)
+    factor = _inv_factorial(n - 1)
+    sign = ONE if (n - 1) % 2 == 0 else -ONE
+    m = len(values)
+    acc = monomial_power(ONE, n - 1).scale(sign * factor * values[-1])
+    rev = [Piece(cuts[m - 1], cuts[m], acc)]
+    for i in range(m - 2, -1, -1):
+        # (c_i - p)^{n-1} = (-1)^{n-1}(p - c_i)^{n-1}
+        acc = acc - monomial_power(cuts[i + 1], n - 1).scale(
+            sign * factor * (values[i + 1] - values[i])
+        )
+        rev.append(Piece(cuts[i], cuts[i + 1], acc))
+    rev.reverse()
+    curve = PiecewisePolynomial.make(rev, n - 2)
     return IntegratedCurve(CurveKind.UPPER_QUANTILE, n, curve, d)
+
+
+def integrated_curve(
+    d: DiscreteDistribution, kind: CurveKind, n: int
+) -> IntegratedCurve:
+    """The order-n curve of the given kind."""
+    build = {
+        CurveKind.CDF: integrated_cdf,
+        CurveKind.SURVIVAL: integrated_survival,
+        CurveKind.QUANTILE: integrated_quantile,
+        CurveKind.UPPER_QUANTILE: integrated_upper_quantile,
+    }[kind]
+    return build(d, n)
 
 
 def asymptote(d: DiscreteDistribution, n: int) -> AsymptotePoly:
@@ -238,41 +217,15 @@ def orderstat_expansion(d: DiscreteDistribution, n: int, p) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def integrated_cdf_via_recursion(d: DiscreteDistribution, n: int) -> IntegratedCurve:
-    """Build the order-n curve by n-1 anchored integrations of the step
-    CDF instead of the closed form."""
-    _check_order(n)
-    curve = integrated_cdf(d, 1).curve
-    for _ in range(n - 1):
-        curve = pw_antiderivative(curve, from_left=True)
-    return IntegratedCurve(CurveKind.CDF, n, curve, d)
-
-
-def integrated_survival_via_recursion(
-    d: DiscreteDistribution, n: int
+def integrated_curve_via_recursion(
+    d: DiscreteDistribution, kind: CurveKind, n: int
 ) -> IntegratedCurve:
+    """Build the order-n curve by n-1 anchored integrations of the order-1
+    step curve instead of the closed form: from the left end for the cdf
+    and quantile kinds, from the right end for the other two."""
     _check_order(n)
-    curve = integrated_survival(d, 1).curve
+    curve = integrated_curve(d, kind, 1).curve
+    from_left = kind in (CurveKind.CDF, CurveKind.QUANTILE)
     for _ in range(n - 1):
-        curve = pw_antiderivative(curve, from_left=False)
-    return IntegratedCurve(CurveKind.SURVIVAL, n, curve, d)
-
-
-def integrated_quantile_via_recursion(
-    d: DiscreteDistribution, n: int
-) -> IntegratedCurve:
-    _check_order(n)
-    curve = integrated_quantile(d, 1).curve
-    for _ in range(n - 1):
-        curve = pw_antiderivative(curve, from_left=True)
-    return IntegratedCurve(CurveKind.QUANTILE, n, curve, d)
-
-
-def integrated_upper_quantile_via_recursion(
-    d: DiscreteDistribution, n: int
-) -> IntegratedCurve:
-    _check_order(n)
-    curve = integrated_upper_quantile(d, 1).curve
-    for _ in range(n - 1):
-        curve = pw_antiderivative(curve, from_left=False)
-    return IntegratedCurve(CurveKind.UPPER_QUANTILE, n, curve, d)
+        curve = pw_antiderivative(curve, from_left=from_left)
+    return IntegratedCurve(kind, n, curve, d)

@@ -13,9 +13,17 @@ from stochdom import (
     sd_compare,
     strong_isd_compare,
 )
-from stochdom.dominance import OrderStatCheck
+from stochdom.dominance import OrderStatCheck, Verdict, Witness, _interiorize
 from stochdom.errors import OrderOutOfRange
-from stochdom.exact import pw_linear_combine
+from stochdom.exact import (
+    NEG_INF,
+    POS_INF,
+    Piece,
+    PiecewisePolynomial,
+    Polynomial,
+    pw_linear_combine,
+    pw_nonneg,
+)
 from stochdom.falsify import GenConfig, SplitMix64, _dominated_pair, _free_pair, _random_dist
 from stochdom.transforms import integrated_cdf, integrated_quantile
 from tests.conftest import symmetric_vs_zero
@@ -165,3 +173,77 @@ def test_strong_touchpoint_at_matched_top(strong_triples):
         integrated_quantile(y, 3).curve, integrated_quantile(x, 3).curve, 1, -1
     )
     assert gap(1) == 0
+
+
+# ---------------------------------------------------------------------------
+# reference: the three-sweep decision that the one-sweep _decide replaced
+# ---------------------------------------------------------------------------
+
+
+def _negated(f):
+    pieces = tuple(Piece(pc.lower, pc.upper, -pc.poly) for pc in f.pieces)
+    return PiecewisePolynomial(pieces, f.continuity_class)
+
+
+def _find_positive(f):
+    """A point where f > 0 with its value, from a full sweep of -f."""
+    res = pw_nonneg(_negated(f))
+    return None if res.nonnegative else (res.witness, -res.witness_value)
+
+
+def _reference_decide(diff, mode, order, open_unit):
+    if diff.is_zero:
+        return Verdict(Relation.EQUIVALENT, False, None, None, (), mode, order)
+
+    def witness(point, value, sign):
+        if open_unit:
+            point = _interiorize(diff, point, 0, 1)
+            value = diff(point)
+        return Witness(point, sign * value)
+
+    res_pos = pw_nonneg(diff)
+    cert = res_pos.pieces
+    found = _find_positive(diff)
+    left = None if found is None else witness(*found, 1)
+    if res_pos.nonnegative:
+        return Verdict(Relation.LEFT_DOMINATED, True, left, None, cert, mode, order)
+    right = witness(res_pos.witness, res_pos.witness_value, -1)
+    if pw_nonneg(_negated(diff)).nonnegative:
+        return Verdict(Relation.RIGHT_DOMINATED, True, None, right, cert, mode, order)
+    return Verdict(Relation.INCOMPARABLE, False, left, right, cert, mode, order)
+
+
+def test_one_sweep_decide_matches_three_sweep_reference():
+    tent = PiecewisePolynomial.make(
+        [
+            Piece(NEG_INF, rat(0), Polynomial.zero()),
+            Piece(rat(0), rat(2), Polynomial.make((0, 1))),
+            Piece(rat(2), POS_INF, Polynomial.constant(2)),
+        ],
+        0,
+        validate=False,
+    )
+    point, value = _find_positive(tent)
+    assert tent(point) == value > 0
+    assert _find_positive(_negated(tent)) is None
+
+    rng = SplitMix64(314159)
+    cfg = GenConfig(support_sizes=(1, 4))
+    seen = set()
+    for t in range(24):
+        x, y = _dominated_pair(rng, cfg) if t % 2 else _free_pair(rng, cfg)
+        if t % 6 == 0:
+            y = x
+        for a, b in ((x, y), (y, x)):
+            for n in range(1, 7):
+                fa, fb = integrated_cdf(a, n).curve, integrated_cdf(b, n).curve
+                sd_diff = pw_linear_combine(fa, fb, 1, -1)
+                v = sd_compare(a, b, n)
+                assert v == _reference_decide(sd_diff, "sd", n, open_unit=False)
+                qa = integrated_quantile(a, n).curve
+                qb = integrated_quantile(b, n).curve
+                isd_diff = pw_linear_combine(qb, qa, 1, -1)
+                vi = isd_compare(a, b, n)
+                assert vi == _reference_decide(isd_diff, "isd", n, open_unit=True)
+                seen.update((v.relation, vi.relation))
+    assert seen == set(Relation)

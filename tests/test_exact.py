@@ -15,19 +15,17 @@ from stochdom.exact import (
     PiecewisePolynomial,
     Polynomial,
     SignVerdict,
+    _pull_edge_inward,
+    _rationalize,
+    _refine_strictly_away,
     monomial_power,
     nonneg_on_interval,
     nonneg_on_left_ray,
     nonneg_on_ray,
-    poly_antiderivative,
-    poly_combine,
-    poly_eval,
     pw_antiderivative,
     pw_equal,
-    pw_find_positive,
     pw_integral,
     pw_linear_combine,
-    pw_neg,
     pw_nonneg,
 )
 from stochdom.falsify import SplitMix64
@@ -43,44 +41,45 @@ def P(*coeffs):
 
 
 def test_eval_square_minus_one():
-    assert poly_eval(P(-1, 0, 1), 2) == 3
+    assert P(-1, 0, 1)(2) == 3
 
 
 def test_eval_zero_polynomial():
-    assert poly_eval(Polynomial.zero(), 7) == 0
+    assert Polynomial.zero()(7) == 0
 
 
 def test_eval_cubic_moment_polynomial():
     # (14 - 15x + 6x^2 - x^3)/6 evaluated at 3, expanded by hand from the
     # first three raw moments of the {1,3} fifty-fifty distribution
     p = P(rat(14, 6), rat(-15, 6), 1, rat(-1, 6))
-    assert poly_eval(p, 3) == rat(-2, 3)
+    assert p(3) == rat(-2, 3)
 
 
 def test_combine_cancellation():
-    assert poly_combine(P(0, 1), P(0, 1), 1, -1).is_zero
+    assert (P(0, 1) + P(0, 1).scale(-1)).is_zero
 
 
 def test_combine_sum():
-    assert poly_combine(P(0, 0, 1), P(1), 1, 1).coeffs == (rat(1), rat(0), rat(1))
+    assert (P(0, 0, 1) + P(1)).coeffs == (rat(1), rat(0), rat(1))
 
 
 def test_combine_average_of_shifted_squares():
     a = P(1, -2, 1)  # (x-1)^2
     b = P(1, 2, 1)  # (x+1)^2
-    assert poly_combine(a, b, rat(1, 2), rat(1, 2)).coeffs == (rat(1), rat(0), rat(1))
+    half = rat(1, 2)
+    assert (a.scale(half) + b.scale(half)).coeffs == (rat(1), rat(0), rat(1))
 
 
 def test_antiderivative_of_one():
-    assert poly_antiderivative(P(1), 0, 0).coeffs == (rat(0), rat(1))
+    assert P(1).antiderivative(0, 0).coeffs == (rat(0), rat(1))
 
 
 def test_antiderivative_anchor():
-    assert poly_antiderivative(P(0, 2), 1, 1).coeffs == (rat(0), rat(0), rat(1))
+    assert P(0, 2).antiderivative(1, 1).coeffs == (rat(0), rat(0), rat(1))
 
 
 def test_antiderivative_solves_constant():
-    assert poly_antiderivative(P(0, 0, 3), 2, 0).coeffs == (rat(-8), rat(0), rat(0), rat(1))
+    assert P(0, 0, 3).antiderivative(2, 0).coeffs == (rat(-8), rat(0), rat(0), rat(1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +92,7 @@ def test_antiderivative_solves_constant():
 )
 def test_combine_is_bilinear(ac, bc, ca, cb, x):
     a, b = Polynomial.make(ac), Polynomial.make(bc)
-    combined = poly_combine(a, b, ca, cb)
+    combined = a.scale(ca) + b.scale(cb)
     assert combined(x) == rat(ca) * a(x) + rat(cb) * b(x)
 
 
@@ -240,6 +239,104 @@ def test_nonneg_matches_dense_sampling_oracle():
 
 
 # ---------------------------------------------------------------------------
+# root refinement
+# ---------------------------------------------------------------------------
+
+SQRT2 = (-2, 0, 1)  # x^2 - 2, one root in (1, 2)
+
+
+def test_pull_edge_off_lo():
+    # 3/2 lands right of sqrt 2, then 5/4 lands left of it and frees lo
+    assert _pull_edge_inward(SQRT2, ("interval", rat(1), rat(2)), rat(1), rat(3)) == (
+        "interval", rat(5, 4), rat(3, 2)
+    )
+
+
+def test_pull_edge_off_hi():
+    assert _pull_edge_inward(SQRT2, ("interval", rat(1), rat(2)), rat(0), rat(2)) == (
+        "interval", rat(1), rat(3, 2)
+    )
+
+
+def test_pull_edge_probe_lands_on_rational_root():
+    g = (3, -7, 2)  # (2x - 1)(x - 3)
+    loc = ("interval", rat(0), rat(1))
+    assert _pull_edge_inward(g, loc, rat(0), rat(2)) == ("exact", rat(1, 2))
+    assert _pull_edge_inward(g, loc, rat(-1), rat(2)) == loc
+
+
+def test_rationalize_pins_rational_root():
+    # Stern-Brocot probes 1/2, then 1/3 is the root of 3x - 1
+    assert _rationalize((-1, 3), ("interval", rat(0), rat(1))) == ("exact", rat(1, 3))
+    a, b = _rationalize(SQRT2, ("interval", rat(1), rat(2)))[1:]
+    assert 1 < a < b < 2 and a * a < 2 < b * b and b - a < rat(1, 10**12)
+
+
+def test_refine_away_from_deflated_midpoint_root():
+    # isolating (1/3)(1/2)(2/3)-cubic roots meets 1/2 at the first midpoint;
+    # the deflated quadratic's intervals must then exclude 1/2
+    h = (rat(2, 9), -1, 1)  # (x - 1/3)(x - 2/3)
+    half = rat(1, 2)
+    assert _refine_strictly_away(h, ("interval", rat(0), half), half) == (
+        "interval", rat(1, 4), rat(3, 8)
+    )
+    assert _refine_strictly_away(h, ("interval", half, rat(1)), half) == (
+        "interval", rat(5, 8), rat(3, 4)
+    )
+    # 1/2 strictly inside: split there first, then keep narrowing
+    assert _refine_strictly_away(SQRT2, ("interval", rat(1), rat(2)), rat(3, 2)) == (
+        "interval", rat(11, 8), rat(23, 16)
+    )
+    assert _refine_strictly_away(h, ("exact", rat(1, 3)), half) == ("exact", rat(1, 3))
+    cubic = P(-rat(1, 3), 1) * P(-half, 1) * P(-rat(2, 3), 1)
+    rep = nonneg_on_interval(cubic * cubic, 0, 1)
+    assert rep.nonnegative and rep.touch_points == (rat(1, 3), half, rat(2, 3))
+
+
+def _oracle_cases():
+    """Tangencies, irrational pairs and root clusters a hair from an edge."""
+    rng = SplitMix64(20261017)
+    for i in range(40):
+        lo = rat(rng.randint(-8, 4), rng.randint(1, 4))
+        hi = lo + rat(rng.randint(1, 12), rng.randint(1, 4))
+        inside = lo + (hi - lo) * rat(rng.randint(1, 19), 20)
+        tiny = rat(1, 10 ** rng.randint(2, 9))
+        kind = i % 4
+        if kind == 0:  # a double rational root inside
+            core = P(-inside, 1) * P(-inside, 1)
+        elif kind == 1:  # x^2 - c twice, or next to x^2 - (c + tiny)
+            c = inside * inside + tiny
+            core = P(-c, 0, 1) * P(-c - tiny * rng.below(2), 0, 1)
+        else:  # two roots a hair from lo or hi, on either side of it
+            edge = lo if kind == 2 else hi
+            r = edge + (1 - 2 * rng.below(2)) * tiny
+            core = P(-r, 1) * P(-r - (rng.below(3) - 1) * tiny, 1)
+        a = lo + (hi - lo) * rat(rng.randint(0, 20), 20)
+        p = core * P(a * a + rat(1, rng.randint(1, 50)), -2 * a, 1)
+        yield (p.scale(-1) if i % 5 == 4 else p), lo, hi
+
+
+def test_nonneg_matches_sympy_real_roots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    verdicts = []
+    for p, lo, hi in _oracle_cases():
+        roots = sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), x, domain="QQ"))
+        odd_inside = any(
+            roots.count(r) % 2 and bool(lo < r) and bool(r < hi) for r in set(roots)
+        )
+        # no sign change inside: the sign at any non-root point decides
+        grid = (p(lo + (hi - lo) * rat(k, p.degree + 1)) for k in range(p.degree + 2))
+        expected = not odd_inside and next(v for v in grid if v != 0) > 0
+        rep = nonneg_on_interval(p, lo, hi)
+        assert rep.nonnegative == expected, (p.coeffs, lo, hi)
+        if not rep.nonnegative:
+            assert lo <= rep.witness <= hi and p(rep.witness) == rep.witness_value < 0
+        verdicts.append(expected)
+    assert 10 <= sum(verdicts) <= 30
+
+
+# ---------------------------------------------------------------------------
 # piecewise machinery
 # ---------------------------------------------------------------------------
 
@@ -311,7 +408,7 @@ def test_pw_integral():
     assert pw_integral(tent) == 1
 
 
-def test_pw_nonneg_and_find_positive():
+def test_pw_nonneg_tent():
     tent = PiecewisePolynomial.make(
         [
             Piece(NEG_INF, rat(0), Polynomial.zero()),
@@ -323,9 +420,7 @@ def test_pw_nonneg_and_find_positive():
     )
     res = pw_nonneg(tent)
     assert res.nonnegative
-    point, value = pw_find_positive(tent)
-    assert tent(point) == value > 0
-    assert pw_find_positive(pw_neg(tent)) is None
+    assert res.witness is None and res.touch_points == (rat(0),)
 
 
 def test_pw_equal_across_different_breakpoints():

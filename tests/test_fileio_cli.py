@@ -221,6 +221,27 @@ def test_cli_usage_error(capsys):
     assert run_cli(["compare", "--order", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["export-curve", "--kind", "cdf", "--order", "2", "--grid", "1", "{x}"],
+        ["falsify", "--suite", "fishburn", "--denominator-cap", "0"],
+        ["falsify", "--suite", "fishburn", "--trials", "-5"],
+        ["moments", "--upto", "-3", "{x}"],
+        ["noise-search", "--order", "2", "--max-candidates", "-1", "{x}", "{y}"],
+        ["noise-search", "--order", "2", "--support-cap", "0", "{x}", "{y}"],
+        ["noise-search", "--order", "2", "--spread", "0", "{x}", "{y}"],
+        ["moments", "--upto", "two", "{x}"],
+    ],
+)
+def test_cli_rejects_out_of_range_counts(args, files, capsys):
+    argv = [a.format(x=files["x31"], y=files["y31"]) for a in args]
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument" in err
+
+
 def test_cli_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"atoms": [{"value": "0", "mass": "0.3"}]}')

@@ -20,19 +20,25 @@ from stochdom import (
     raw_moment,
 )
 from stochdom.errors import OrderOutOfRange
-from stochdom.exact import pw_equal, pw_linear_combine
+from stochdom.exact import (
+    NEG_INF,
+    POS_INF,
+    Piece,
+    Polynomial,
+    pw_equal,
+    pw_linear_combine,
+)
 from stochdom.falsify import GenConfig, SplitMix64, _random_dist
 from stochdom.transforms import (
     AsymptoteSide,
+    CurveKind,
     asymptote,
     integrated_cdf,
-    integrated_cdf_via_recursion,
+    integrated_curve,
+    integrated_curve_via_recursion,
     integrated_quantile,
-    integrated_quantile_via_recursion,
     integrated_survival,
-    integrated_survival_via_recursion,
     integrated_upper_quantile,
-    integrated_upper_quantile_via_recursion,
     orderstat_expansion,
 )
 from tests.conftest import symmetric_vs_zero
@@ -186,17 +192,43 @@ def test_endpoint_identities(crossing_triples, jumpy_pair):
 def test_closed_form_equals_recursion():
     rng = SplitMix64(97531)
     cfg = GenConfig(support_sizes=(1, 5))
-    builders = [
-        (integrated_cdf, integrated_cdf_via_recursion),
-        (integrated_survival, integrated_survival_via_recursion),
-        (integrated_quantile, integrated_quantile_via_recursion),
-        (integrated_upper_quantile, integrated_upper_quantile_via_recursion),
-    ]
     for _ in range(20):
         d = _random_dist(rng, cfg)
         for n in range(1, 7):
-            for closed, recursive in builders:
-                assert pw_equal(closed(d, n).curve, recursive(d, n).curve)
+            for kind in CurveKind:
+                closed = integrated_curve(d, kind, n)
+                recursive = integrated_curve_via_recursion(d, kind, n)
+                assert closed.kind is recursive.kind is kind
+                assert pw_equal(closed.curve, recursive.curve)
+
+
+def test_order_one_curves_are_the_step_functions():
+    # the recursion above starts from the order-1 closed form, so pin that
+    # form to the step definitions directly
+    rng = SplitMix64(424242)
+    cfg = GenConfig(support_sizes=(1, 6))
+
+    def steps(edges, levels):
+        return tuple(
+            Piece(a, b, Polynomial.constant(c))
+            for a, b, c in zip(edges, edges[1:], levels)
+        )
+
+    for _ in range(30):
+        d = _random_dist(rng, cfg)
+        edges = [NEG_INF, *d.values, POS_INF]
+        cum = [rat(0), *d.cumulative_masses()]
+        step = quantile(d)
+        expected = {
+            CurveKind.CDF: steps(edges, cum),
+            CurveKind.SURVIVAL: steps(edges, [1 - c for c in cum]),
+            CurveKind.QUANTILE: steps(step.cut_points, step.values),
+            CurveKind.UPPER_QUANTILE: steps(step.cut_points, step.values),
+        }
+        for kind, pieces in expected.items():
+            curve = integrated_curve(d, kind, 1).curve
+            assert curve.continuity_class == -1
+            assert curve.pieces == pieces
 
 
 def test_cdf_matches_expectation_form_exactly():
