@@ -31,6 +31,7 @@ from .errors import (
     DomainMismatch,
     EmptySupport,
     GenerationExhausted,
+    InvalidBudget,
     MassNotOne,
     MomentHypothesisViolated,
     NegativeMass,

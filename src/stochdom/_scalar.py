@@ -1,14 +1,19 @@
-"""Exact rational scalar backend.
+"""Exact rational scalars.
 
 Every quantity in this package is an arbitrary-precision rational and
 every operation on it is exact; binary floating point never enters a
 computation path (floats appear only as the +/-inf domain sentinels,
 which are compared against but never combined arithmetically).
 
-gmpy2's ``mpq`` is used when available because it is several times
-faster than ``fractions.Fraction``; the stdlib type is a drop-in
-fallback.  Both keep canonical form automatically: positive denominator,
-gcd-reduced.
+The one scalar type is the stdlib ``fractions.Fraction``, which keeps
+canonical form automatically: positive denominator, gcd-reduced.  Sign
+decisions in ``exact`` run on primitive integer coefficients instead, so
+rationals are built only at the boundary.
+
+String literals are bounded before they are parsed: at most
+``MAX_LITERAL_DIGITS`` digits in all and a decimal exponent of at most
+``MAX_LITERAL_EXPONENT`` in magnitude, so a short literal such as
+``"1e999999999"`` cannot demand an enormous integer.
 """
 
 from __future__ import annotations
@@ -17,15 +22,37 @@ import decimal
 from fractions import Fraction
 from typing import Union
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    Rat = Fraction
+Rat = Fraction
 
-RatLike = Union[int, str, Fraction, "Rat"]
+RatLike = Union[int, str, Fraction]
+
+# With both bounds the numerator and the denominator of a parsed literal
+# have at most about 4000 digits, under Python's 4300-digit int-string limit,
+# so every value read in can be written back out by ``rat_str``.
+MAX_LITERAL_DIGITS = 2000
+MAX_LITERAL_EXPONENT = 2000
 
 ZERO = Rat(0)
 ONE = Rat(1)
+
+
+def _check_literal_size(text: str) -> None:
+    """Reject a literal whose digits or decimal exponent exceed the bounds;
+    raises ValueError."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        digits = sum(map(str.isdigit, text))
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"literal has {digits} digits; at most {MAX_LITERAL_DIGITS} allowed")
+    if "e" in text or "E" in text:
+        exponent = text.lower().partition("e")[2].strip()
+        # Fraction reads an exponent as [-+]?\d+(_\d+)*, so the underscores
+        # go before it is measured; anything else that is not decimal digits
+        # is a literal Fraction rejects anyway
+        size = exponent.replace("_", "").lstrip("+-").lstrip("0")
+        if size.isdecimal() and (
+            len(size) > len(str(MAX_LITERAL_EXPONENT)) or int(size) > MAX_LITERAL_EXPONENT
+        ):
+            raise ValueError(f"decimal exponent {exponent} exceeds {MAX_LITERAL_EXPONENT} in magnitude")
 
 
 def rat(value: RatLike = 0, denominator: int | None = None) -> Rat:
@@ -33,13 +60,10 @@ def rat(value: RatLike = 0, denominator: int | None = None) -> Rat:
     a Fraction, or a (numerator, denominator) pair."""
     if denominator is not None:
         return Rat(value, denominator)
+    if value.__class__ is Rat:
+        return value
     if isinstance(value, str):
-        # Both backends accept "p/q" and plain integers; route decimal
-        # literals like "4.1" through Fraction so they parse exactly.
-        if "." in value or "e" in value or "E" in value:
-            f = Fraction(value)
-            return Rat(f.numerator, f.denominator)
-        return Rat(value)
+        _check_literal_size(value)
     return Rat(value)
 
 
@@ -52,11 +76,6 @@ def rat_str(q) -> str:
     """Canonical wire form ``p/q`` (denominator always written)."""
     n, d = as_int_pair(q)
     return f"{n}/{d}"
-
-
-def parse_rational(text: str) -> Rat:
-    """Parse a ``p/q`` or exact decimal literal; raises ValueError."""
-    return rat(text.strip())
 
 
 def decimal_str(q, significant: int = 12) -> str:

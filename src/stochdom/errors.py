@@ -35,6 +35,10 @@ class OrderOutOfRange(StochdomError):
     """The requested dominance/transform order is outside the supported range."""
 
 
+class InvalidBudget(StochdomError):
+    """A noise-search budget holds a value the search cannot use."""
+
+
 class SupportCapExceeded(StochdomError):
     """A convolution would exceed the configured support-size cap."""
 

@@ -8,11 +8,18 @@ Conventions
   step functions built on pieces are right-continuous, matching the
   distribution-function convention.  A finite domain maximum belongs to
   the final piece.
-* Sign decisions are exact: the square-free part of the polynomial is
-  computed, its real roots are isolated with Sturm sequences, and signs
-  are sampled at rational points separating the roots.  Roots of even
-  multiplicity never falsify nonnegativity; rational zeros that are
+* Sign decisions are exact and run on Python ints: signs do not change
+  under positive scaling, so each polynomial is decided through its
+  primitive integer multiple.  A rational point a/b enters as
+  b**d * p(a/b) (homogeneous Horner) or as an integer Taylor shift; the
+  square-free part and the Sturm chain come from sign-preserving integer
+  pseudo-remainders.  The real roots are isolated with Sturm sequences
+  and signs are sampled at rational points separating them.  Roots of
+  even multiplicity never falsify nonnegativity; rational zeros that are
   located exactly are reported as touch points.
+* Values stay exact rationals at the boundary: bounds, witnesses, touch
+  points and witness values are ``Rat``, and a witness value is
+  evaluated on the rational coefficients once it is reported.
 * Unbounded domains use ``float('inf')`` sentinels for comparison only;
   they never take part in arithmetic.
 
@@ -26,6 +33,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._scalar import Rat, ZERO, ONE, rat, rat_floor
@@ -169,42 +177,92 @@ def monomial_power(root, k: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# integer kernel (see the module docstring)
 # ---------------------------------------------------------------------------
 
 
-def _divmod_poly(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [rat(c) for c in a]  # inputs may be integer-normalized chains
-    qn = len(a) - len(b)
-    if qn < 0:
-        return (), tuple(rem)
-    quo = [ZERO] * (qn + 1)
-    lead = rat(b[-1])
-    for k in range(qn, -1, -1):
-        c = rem[k + len(b) - 1] / lead
-        if c != 0:
-            quo[k] = c
-            for i, bi in enumerate(b):
-                rem[k + i] = rem[k + i] - c * bi
-    return _trim(quo), _trim(rem)
+def _int_numerators(cs: Sequence) -> tuple[list, int]:
+    """Integers N and the least common denominator D with cs == N / D."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _primitive_int(cs: tuple) -> tuple:
+def _primitive_int(cs: Sequence) -> tuple:
     """Scale by a positive rational so coefficients become coprime ints."""
     if not cs:
-        return cs
-    den = 1
-    for c in cs:
-        den = den * int(c.denominator) // math.gcd(den, int(c.denominator))
-    nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
+        return ()
+    nums, _ = _int_numerators(cs)
+    g = math.gcd(*nums)
     if g > 1:
         nums = [n // g for n in nums]
     return tuple(nums)
+
+
+def _sign_at(cs: Sequence, x) -> int:
+    """Sign of p(x), read off b**d * p(a/b) for x = a/b by homogeneous
+    Horner; integer coefficients keep the whole evaluation on ints."""
+    a, b = x.as_integer_ratio()
+    acc, bk = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _taylor_at(cs: Sequence, x, count: int) -> list:
+    """Positive multiples of the ``count`` lowest Taylor coefficients of p
+    at x, i.e. of the coefficients of p(x + t).
+
+    For x = a/b, p(x + t) = P(a + b t) / b**d; shifting P by the integer
+    a gives coefficients r_j, and p(x + t) has r_j * b**(j - d) at t**j.
+    """
+    a, b = x.as_integer_ratio()
+    d = len(cs) - 1
+    out = list(cs)
+    bk = 1
+    for i in range(d - 1, -1, -1):
+        bk *= b
+        out[i] *= bk
+    if a:
+        for j in range(min(count, d)):
+            for i in range(d - 1, j - 1, -1):
+                out[i] += a * out[i + 1]
+    return out[:count]
+
+
+def _prem(a: tuple, b: tuple) -> tuple:
+    """Pseudo-remainder of integer a by integer b that keeps the sign: the
+    remainder of |lc(b)|**k * a for some k <= deg a - deg b + 1, so it is a
+    positive multiple of the rational remainder of a by b."""
+    r = list(a)
+    db = len(b) - 1
+    lead = abs(b[-1])
+    flip = 1 if b[-1] > 0 else -1
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r[k + db]
+        if top == 0:
+            continue
+        q = top * flip
+        for i in range(k + db):
+            r[i] *= lead
+        r[k + db] = 0
+        for i in range(db):
+            r[k + i] -= q * b[i]
+    return _trim(r)
+
+
+def _exquo(a: tuple, b: tuple) -> tuple:
+    """The quotient of integer a by a primitive integer divisor b, exact
+    (Gauss's lemma keeps it integral)."""
+    r = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = r[k + db] // b[-1]
+        for i in range(db + 1):
+            r[k + i] -= c * b[i]
+    assert not any(r), "exact division left a remainder"
+    return _trim(quo)
 
 
 def _deriv(cs: tuple) -> tuple:
@@ -213,59 +271,46 @@ def _deriv(cs: tuple) -> tuple:
 
 def _gcd_poly(a: tuple, b: tuple) -> tuple:
     while b:
-        _, r = _divmod_poly(a, b)
-        a, b = b, _primitive_int(r)
+        a, b = b, _primitive_int(_prem(a, b))
     return a
 
 
 def _square_free(cs: tuple) -> tuple:
-    """The square-free part: same roots, all simple."""
+    """The primitive square-free part of integer cs: same roots, all simple."""
     if len(cs) <= 2:
-        return _primitive_int(cs)
-    g = _gcd_poly(_primitive_int(cs), _primitive_int(_deriv(cs)))
+        return cs
+    g = _gcd_poly(cs, _primitive_int(_deriv(cs)))
     if len(g) <= 1:
-        return _primitive_int(cs)
-    q, r = _divmod_poly(cs, g)
-    assert not r, "square-free division must be exact"
-    return _primitive_int(q)
+        return cs
+    return _exquo(cs, g)
 
 
 def _deflate(cs: tuple, root) -> tuple:
-    """Exact synthetic division by (x - root); root must be a root."""
-    out = [ZERO] * (len(cs) - 1)
-    acc = ZERO
-    for i in range(len(cs) - 1, 0, -1):
-        acc = acc * root + cs[i]
-        out[i - 1] = acc
-    assert acc * root + cs[0] == 0, "deflation point is not a root"
-    return _trim(out)
+    """Exact division of integer cs by the primitive (b x - a) for the root
+    a/b; a primitive cs gives a primitive quotient (Gauss's lemma)."""
+    a, b = root.as_integer_ratio()
+    return _exquo(cs, (-a, b))
 
 
 def _sturm_chain(g: tuple) -> list[tuple]:
     chain = [g, _primitive_int(_deriv(g))]
     while chain[-1]:
-        _, r = _divmod_poly(chain[-2], chain[-1])
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(tuple(-c for c in _primitive_int(r)))
     return [c for c in chain if c]
 
 
-def _sign(v) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
-
-
 def _variations_at(chain: list[tuple], x) -> int:
-    signs = []
+    count = last = 0
     for cs in chain:
-        s = _sign(_peval(cs, x))
+        s = _sign_at(cs, x)
         if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            if last and s != last:
+                count += 1
+            last = s
+    return count
 
 
 def _simplest_between(x, y) -> Rat:
@@ -304,7 +349,7 @@ def _isolate_roots(g: tuple, lo, hi) -> list:
             out.append(("interval", a, b))
             continue
         m = (a + b) / 2
-        if _peval(g, m) == 0:
+        if _sign_at(g, m) == 0:
             h = _deflate(g, m)
             sub = _isolate_roots(h, a, b)
             for loc in sub:
@@ -330,12 +375,12 @@ def _narrow(g: tuple, a, b, probe, stop):
     left endpoint's alone picks the half.  Returns ('exact', c) when a
     probe lands on the root, else the narrowed ('interval', a, b).
     """
-    sa = _sign(_peval(g, a))
+    sa = _sign_at(g, a)
     k = 0
     while not stop(a, b, k):
         c = probe(a, b)
         k += 1
-        sc = _sign(_peval(g, c))
+        sc = _sign_at(g, c)
         if sc == 0:
             return ("exact", c)
         if sc != sa:
@@ -357,7 +402,7 @@ def _refine_strictly_away(h: tuple, loc, point):
     if v < point or u > point:
         return loc
     if u < point < v:
-        if _sign(_peval(h, point)) != _sign(_peval(h, u)):
+        if _sign_at(h, point) != _sign_at(h, u):
             v = point
         else:
             u = point
@@ -430,52 +475,53 @@ def nonneg_on_interval(p: Polynomial, lo, hi) -> SignReport:
     cs = p.coeffs
     if not cs:
         return _nonnegative(())
+    ip = _primitive_int(cs)
     touch = set()
     for pt in (lo, hi, (lo + hi) / 2):
-        v = _peval(cs, pt)
-        if v < 0:
-            return _negative(pt, v)
-        if v == 0:
+        s = _sign_at(ip, pt)
+        if s < 0:
+            return _negative(pt, _peval(cs, pt))
+        if s == 0:
             touch.add(pt)
-    deg = len(cs) - 1
+    deg = len(ip) - 1
     if deg == 0:
         return _nonnegative(())
     if deg == 1:
-        root = -cs[0] / cs[1]
+        root = rat(-ip[0], ip[1])
         if lo <= root <= hi:
             touch.add(root)
         return _nonnegative(touch)
     if deg == 2:
-        vertex = -cs[1] / (2 * cs[2])
+        vertex = rat(-ip[1], 2 * ip[2])
         if lo <= vertex <= hi:
-            v = _peval(cs, vertex)
-            if cs[2] > 0 and v < 0:
-                return _negative(vertex, v)
-            if v == 0:
+            s = _sign_at(ip, vertex)
+            if ip[2] > 0 and s < 0:
+                return _negative(vertex, _peval(cs, vertex))
+            if s == 0:
                 touch.add(vertex)
         return _nonnegative(touch)
     # extra screen for higher degree
     quarter = (hi - lo) / 4
     for pt in (lo + quarter, hi - quarter):
-        v = _peval(cs, pt)
-        if v < 0:
-            return _negative(pt, v)
-        if v == 0:
+        s = _sign_at(ip, pt)
+        if s < 0:
+            return _negative(pt, _peval(cs, pt))
+        if s == 0:
             touch.add(pt)
-    shifted = p.shift(lo)
-    if all(c >= 0 for c in shifted.coeffs):
+    if all(c >= 0 for c in _taylor_at(ip, lo, len(ip))):
         # every coefficient of p(lo + t) nonnegative: p >= 0 for t >= 0,
         # with no zero beyond t = 0
         return _nonnegative(touch)
-    return _nonneg_by_isolation(p, lo, hi, touch)
+    return _nonneg_by_isolation(cs, ip, lo, hi, touch)
 
 
-def _nonneg_by_isolation(p: Polynomial, lo, hi, touch: set) -> SignReport:
-    cs = p.coeffs
-    g = _square_free(cs)
-    while _peval(g, lo) == 0:
+def _nonneg_by_isolation(cs: tuple, ip: tuple, lo, hi, touch: set) -> SignReport:
+    """The isolation path of nonneg_on_interval; ``ip`` is the primitive
+    integer form of the rational coefficients ``cs``."""
+    g = _square_free(ip)
+    while _sign_at(g, lo) == 0:
         g = _deflate(g, lo)
-    while _peval(g, hi) == 0:
+    while _sign_at(g, hi) == 0:
         g = _deflate(g, hi)
     if len(g) <= 1:
         # all roots sat at the endpoints; interior sign is constant and the
@@ -500,10 +546,10 @@ def _nonneg_by_isolation(p: Polynomial, lo, hi, touch: set) -> SignReport:
     if prev < hi:
         samples.add((prev + hi) / 2)
     for s in samples:
-        v = _peval(cs, s)
-        if v < 0:
-            return _negative(s, v)
-        if v == 0:
+        sign = _sign_at(ip, s)
+        if sign < 0:
+            return _negative(s, _peval(cs, s))
+        if sign == 0:
             touch.add(s)
     return _nonnegative(touch)
 
@@ -584,16 +630,16 @@ class PiecewisePolynomial:
             if left.upper != right.lower:
                 raise ValueError("pieces must be contiguous")
         if validate and continuity_class >= 0:
-            for left, right in zip(pieces, pieces[1:]):
-                lp, rp = left.poly, right.poly
-                x = rat(left.upper)
-                for _ in range(continuity_class + 1):
-                    if lp(x) != rp(x):
-                        raise ValueError(
-                            f"pieces disagree at breakpoint {left.upper} for "
-                            f"declared continuity class {continuity_class}"
-                        )
-                    lp, rp = lp.derivative(), rp.derivative()
+            # C^k at x: the k + 1 lowest Taylor coefficients of the
+            # difference of the two pieces vanish there
+            ints = [_int_numerators(pc.poly.coeffs) for pc in pieces]
+            for left, (ln, ld), (rn, rd) in zip(pieces, ints, ints[1:]):
+                diff = _trim([u * rd - v * ld for u, v in zip_longest(ln, rn, fillvalue=0)])
+                if diff and any(_taylor_at(diff, left.upper, continuity_class + 1)):
+                    raise ValueError(
+                        f"pieces disagree at breakpoint {left.upper} for "
+                        f"declared continuity class {continuity_class}"
+                    )
         return PiecewisePolynomial(tuple(pieces), continuity_class)
 
     @property

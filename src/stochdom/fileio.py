@@ -70,6 +70,8 @@ def load_distribution(path: str) -> DiscreteDistribution:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from None
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return parse_distribution(doc, origin=path)

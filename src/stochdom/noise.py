@@ -40,7 +40,7 @@ from .distributions import (
     raw_moment,
 )
 from .dominance import Relation, Verdict, isd_compare, sd_compare
-from .errors import MomentHypothesisViolated, OrderOutOfRange
+from .errors import InvalidBudget, MomentHypothesisViolated, OrderOutOfRange
 from .exact import pw_linear_combine, pw_integral
 from .transforms import N_MAX, integrated_cdf
 
@@ -177,6 +177,9 @@ def noise_search(
     """
     if relation not in ("sd", "isd"):
         raise ValueError("relation must be 'sd' or 'isd'")
+    if budget.spread < 1:
+        # a lattice step of spread/q <= 0 stacks or reverses the atoms of Z
+        raise InvalidBudget(f"spread must be at least 1, got {budget.spread}")
     pre = (
         noise_precondition(x, y, n)
         if relation == "sd"

@@ -15,9 +15,14 @@ from stochdom.exact import (
     PiecewisePolynomial,
     Polynomial,
     SignVerdict,
+    _peval,
+    _prem,
+    _primitive_int,
     _pull_edge_inward,
     _rationalize,
     _refine_strictly_away,
+    _sign_at,
+    _taylor_at,
     monomial_power,
     nonneg_on_interval,
     nonneg_on_left_ray,
@@ -239,6 +244,72 @@ def test_nonneg_matches_dense_sampling_oracle():
 
 
 # ---------------------------------------------------------------------------
+# integer kernel against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def _fraction_rem(a: tuple, b: tuple) -> tuple:
+    """Remainder of a by b by rational long division."""
+    rem = [rat(c) for c in a]
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        for i, bi in enumerate(b):
+            rem[k + i] -= c * bi
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
+def _positive_multiple(big, small) -> bool:
+    """big == lam * small, entry by entry, for one lam > 0."""
+    big = list(big) + [0] * (len(small) - len(big))
+    small = list(small) + [0] * (len(big) - len(small))
+    pairs = [(u, v) for u, v in zip(big, small) if u or v]
+    if not pairs:
+        return True
+    lam = rat(pairs[0][0]) / pairs[0][1] if pairs[0][1] else rat(0)
+    return lam > 0 and all(u == lam * v for u, v in zip(big, small))
+
+
+def _sgn(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _kernel_cases():
+    """Seeded rational polynomials p of degree 1-11 with their rational
+    roots among the points, and a divisor q of degree at most p's."""
+    rng = SplitMix64(31337)
+    for i in range(60):
+        deg = 1 + i % 11
+        roots = [rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, deg))]
+        p = P(rat(rng.randint(-20, 20) or 1, rng.randint(1, 9)))
+        for r in roots:
+            p = p * P(-r, 1)
+        while p.degree < deg:
+            p = p * P(rat(rng.randint(-5, 5), rng.randint(1, 7)), rat(rng.randint(1, 5), rng.randint(1, 3)))
+        q = P(*[rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, deg))])
+        q = q + P(*[0] * (q.degree + 1), rng.randint(1, 4) * (1 - 2 * rng.below(2)))
+        points = roots + [rat(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(4)]
+        yield p, q, points
+
+
+def test_integer_kernel_matches_fraction_reference():
+    for p, q, points in _kernel_cases():
+        ip = _primitive_int(p.coeffs)
+        assert _positive_multiple(ip, p.coeffs)
+        for x in points:
+            assert _sign_at(ip, x) == _sgn(_peval(p.coeffs, x))
+            taylor = _taylor_at(ip, x, len(ip))
+            a, b = x.as_integer_ratio()
+            scaled = [r * b**j for j, r in enumerate(taylor)]
+            assert _positive_multiple(scaled, p.shift(x).coeffs)
+        iq = _primitive_int(q.coeffs)
+        if q.degree >= 1 and p.degree >= q.degree:
+            assert _positive_multiple(_prem(ip, iq), _fraction_rem(p.coeffs, q.coeffs))
+    assert _sign_at(_primitive_int(P(rat(-1, 4), 0, 1).coeffs), rat(1, 2)) == 0
+
+
+# ---------------------------------------------------------------------------
 # root refinement
 # ---------------------------------------------------------------------------
 
@@ -421,6 +492,22 @@ def test_pw_nonneg_tent():
     res = pw_nonneg(tent)
     assert res.nonnegative
     assert res.witness is None and res.touch_points == (rat(0),)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_make_rejects_exactly_below_the_declared_class(k):
+    # the pieces agree in derivatives 0..j-1 at 1/3 and differ in the j-th
+    x0 = rat(1, 3)
+    left = P(rat(2, 5), -1, rat(7, 3), 0, 1)
+    for j in range(k + 3):
+        right = left + monomial_power(x0, j).scale(rat(-3, 7))
+        pieces = [Piece(rat(0), x0, left), Piece(x0, rat(1), right)]
+        if j <= k:
+            with pytest.raises(ValueError, match="disagree at breakpoint 1/3"):
+                PiecewisePolynomial.make(pieces, k)
+        else:
+            assert PiecewisePolynomial.make(pieces, k).continuity_class == k
+        assert PiecewisePolynomial.make(pieces, k, validate=False).pieces == tuple(pieces)
 
 
 def test_pw_equal_across_different_breakpoints():

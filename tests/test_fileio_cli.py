@@ -15,6 +15,7 @@ from stochdom import (
     point_mass,
     rat,
 )
+from stochdom._scalar import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT, rat_str
 from stochdom.cli import run_cli
 from stochdom.errors import MassNotOne, ParseError
 from stochdom.fileio import curve_sample_csv, distribution_doc
@@ -61,6 +62,48 @@ def test_parse_rejects_mass_shortfall():
         parse_distribution(
             {"atoms": [{"value": "0", "mass": "0.5"}, {"value": "1", "mass": "0.49"}]}
         )
+
+
+def test_literal_size_is_bounded():
+    # both bounds reached (the exponent's digits count too); the values
+    # still print back exactly
+    nines = MAX_LITERAL_DIGITS - 1 - len(str(MAX_LITERAL_EXPONENT))
+    big = rat("0." + "9" * nines + f"e-{MAX_LITERAL_EXPONENT}")
+    assert rat_str(big) == f"{10**nines - 1}/{10**(nines + MAX_LITERAL_EXPONENT)}"
+    assert rat(f"1e{MAX_LITERAL_EXPONENT}") == 10**MAX_LITERAL_EXPONENT
+    assert rat("1e2_000") == rat("1_0e1_999") == 10**2000
+    # just over either bound, also with PEP 515 underscores; unguarded, each
+    # of these would still be cheap
+    for text in (
+        f"1e{MAX_LITERAL_EXPONENT + 1}",
+        f"1E-{MAX_LITERAL_EXPONENT + 1}",
+        "1e100000",
+        "1e2_001",
+        "1e100_000",
+        "1E-1_0_0_0_0_0",
+        "0." + "1" * MAX_LITERAL_DIGITS,
+        "1/" + "3" * MAX_LITERAL_DIGITS,
+    ):
+        with pytest.raises(ValueError):
+            rat(text)
+        doc = {"atoms": [{"value": text, "mass": "1"}]}
+        with pytest.raises(ParseError, match=r"atoms\[0\].value"):
+            parse_distribution(doc)
+
+
+def test_cli_rejects_oversized_numbers(tmp_path, capsys):
+    paths = []
+    for i, text in enumerate(("1e100000", "1e2_001", "1e100_000")):
+        paths.append(tmp_path / f"exp{i}.json")
+        paths[-1].write_text('{"atoms": [{"value": "' + text + '", "mass": "1"}]}')
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"atoms": [{"value": ' + "1" * 5000 + ', "mass": "1"}]}')
+    for path in (*paths, digits):
+        with pytest.raises(ParseError):
+            load_distribution(str(path))
+        assert run_cli(["moments", "--upto", "2", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
 
 
 def test_parse_reports_field(tmp_path):

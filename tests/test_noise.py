@@ -17,7 +17,7 @@ from stochdom import (
     sd_compare,
 )
 from stochdom.distributions import convolve, raw_moment
-from stochdom.errors import MomentHypothesisViolated
+from stochdom.errors import InvalidBudget, MomentHypothesisViolated, StochdomError
 from stochdom.falsify import GenConfig, SplitMix64, _random_dist, gen_moment_matched_pair
 from dataclasses import replace
 
@@ -78,6 +78,16 @@ def test_search_smooths_a_crossing_pair():
     # independent confirmation on the convolved pair
     check = sd_compare(convolve(y, report.z), convolve(x, report.z), 1)
     assert check.relation is Relation.LEFT_DOMINATED and check.strict
+
+
+@pytest.mark.parametrize("spread", [0, -1])
+def test_search_rejects_spread_below_one(mps_pair, spread):
+    spread_side, base = mps_pair
+    budget = SearchBudget(spread=spread)
+    for relation in ("sd", "isd"):
+        with pytest.raises(InvalidBudget, match="spread must be at least 1"):
+            noise_search(base, spread_side, 2, budget, relation)
+    assert issubclass(InvalidBudget, StochdomError)
 
 
 def test_search_budget_monotone():
