@@ -42,6 +42,7 @@ from .errors import (
     SupportCapExceeded,
     UnknownSuite,
     ValidationError,
+    ValueTooLarge,
 )
 from .exact import (
     Piece,

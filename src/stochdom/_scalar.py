@@ -19,8 +19,11 @@ String literals are bounded before they are parsed: at most
 from __future__ import annotations
 
 import decimal
+import sys
 from fractions import Fraction
 from typing import Union
+
+from .errors import ValueTooLarge
 
 Rat = Fraction
 
@@ -73,9 +76,16 @@ def as_int_pair(q) -> tuple[int, int]:
 
 
 def rat_str(q) -> str:
-    """Canonical wire form ``p/q`` (denominator always written)."""
+    """Canonical wire form ``p/q`` (denominator always written).
+
+    Raises ValueTooLarge past Python's int-to-string digit limit.
+    """
     n, d = as_int_pair(q)
-    return f"{n}/{d}"
+    try:
+        return f"{n}/{d}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueTooLarge(f"an exact value has more than {limit} digits and cannot be written out") from None
 
 
 def decimal_str(q, significant: int = 12) -> str:

@@ -16,6 +16,18 @@ these curve families is equivalent to strict inequality at some point;
 Equivalent (difference identically zero) happens only for identical
 distributions.  Witnesses carry an exact point and the exact gap there.
 
+The difference curve is built once, on integers, as the order-n curve
+(1/(n-1)!) * sum_a w_a (t - a)_+^(n-1) of a signed measure: for n-SD the
+atoms of X with +mass and those of Y with -mass, on the union of the
+supports; for n-ISD the value jumps of the quantile of Y (+) and of X
+(-), at the union of the cut points.  With D and W the common
+denominators of the atoms and the weights, each piece is N(t) / K with
+integer N(t) = sum_a w_a W (D t - a D)^(n-1) and K = (n-1)! W D^(n-1) > 0
+(``exact.pw_integrated_measure``).  N divided by the gcd of its
+coefficients is the primitive integer polynomial the sign kernel would
+take from the rational difference, so the sweep sees the same
+polynomials, and a witness value is N(t) / K exactly.
+
 Every verdict comes from one sign sweep over the difference curve:
 ``pw_nonneg`` decides each piece once, which gives the certificate and
 the first strictly negative point, and the pieces are then screened
@@ -28,12 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import merge
+from operator import itemgetter
 from typing import Optional
 
-from ._scalar import Rat, rat
-from .distributions import DiscreteDistribution, min_orderstat_mean
-from .exact import Piece, PiecewisePolynomial, _piece_sign, pw_linear_combine, pw_nonneg
-from .transforms import integrated_cdf, integrated_quantile
+from ._scalar import ONE, ZERO, Rat, rat
+from .distributions import DiscreteDistribution, min_orderstat_mean, quantile
+from .exact import NEG_INF, POS_INF, Piece, PiecewisePolynomial, _piece_sign, pw_integrated_measure, pw_nonneg
+from .transforms import _check_order
 
 
 class Relation(Enum):
@@ -121,6 +135,41 @@ def _decide(diff: PiecewisePolynomial, mode: str, order: int, open_unit: bool) -
     )
 
 
+def _signed_measure(plus, minus) -> list:
+    """The atoms (a, w) of the signed measure with +w at a for each (a, w)
+    in ``plus`` and -w for each in ``minus``, both sorted by a; the result
+    is sorted too, and shared atoms add up."""
+    atoms: list = []
+    for a, w in merge(plus, ((a, -w) for a, w in minus), key=itemgetter(0)):
+        if atoms and atoms[-1][0] == a:
+            atoms[-1] = (a, atoms[-1][1] + w)
+        else:
+            atoms.append((a, w))
+    return atoms
+
+
+def _quantile_jumps(d: DiscreteDistribution):
+    """(cut point, jump) of the quantile step at each of its jumps, the
+    first from 0 at p = 0."""
+    step = quantile(d)
+    values = step.values
+    return zip(step.cut_points, (b - a for a, b in zip((ZERO,) + values, values)))
+
+
+def _sd_difference(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> PiecewisePolynomial:
+    """F_x^[n] - F_y^[n], the order-n curve of the signed measure X - Y."""
+    _check_order(n)
+    return pw_integrated_measure(_signed_measure(x.atoms, y.atoms), n - 1, NEG_INF, POS_INF)
+
+
+def _isd_difference(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> PiecewisePolynomial:
+    """F_y^[-n] - F_x^[-n], the order-n curve of the quantile jumps of y
+    less those of x."""
+    _check_order(n)
+    measure = _signed_measure(_quantile_jumps(y), _quantile_jumps(x))
+    return pw_integrated_measure(measure, n - 1, ZERO, ONE)
+
+
 def sd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Verdict:
     """Decide n-SD between x and y.
 
@@ -129,10 +178,7 @@ def sd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Verd
     witness_left locates a strictly positive gap (strictness evidence),
     witness_right a strictly negative one (refutation of LeftDominated).
     """
-    fx = integrated_cdf(x, n).curve
-    fy = integrated_cdf(y, n).curve
-    diff = pw_linear_combine(fx, fy, 1, -1)
-    return _decide(diff, "sd", n, open_unit=False)
+    return _decide(_sd_difference(x, y, n), "sd", n, open_unit=False)
 
 
 def isd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Verdict:
@@ -144,10 +190,7 @@ def isd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Ver
     comparison on piece interiors is equivalent by left-continuity.
     Witnesses are always interior points.
     """
-    qx = integrated_quantile(x, n).curve
-    qy = integrated_quantile(y, n).curve
-    diff = pw_linear_combine(qy, qx, 1, -1)
-    return _decide(diff, "isd", n, open_unit=True)
+    return _decide(_isd_difference(x, y, n), "isd", n, open_unit=True)
 
 
 def strong_isd_compare(

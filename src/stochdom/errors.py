@@ -61,3 +61,7 @@ class UnknownSuite(StochdomError):
 
 class ParseError(StochdomError):
     """A distribution file is malformed."""
+
+
+class ValueTooLarge(StochdomError):
+    """An exact value has too many digits to be written out."""

@@ -17,9 +17,14 @@ Conventions
   and signs are sampled at rational points separating them.  Roots of
   even multiplicity never falsify nonnegativity; rational zeros that are
   located exactly are reported as touch points.
+* The sign kernel takes an :class:`IntPolynomial`, integer coefficients
+  over a positive denominator; a :class:`Polynomial` is converted once
+  on the way in.  ``pw_integrated_measure`` builds a whole curve in that
+  form, so the difference curves of the dominance decisions never pass
+  through rational coefficients.
 * Values stay exact rationals at the boundary: bounds, witnesses, touch
   points and witness values are ``Rat``, and a witness value is
-  evaluated on the rational coefficients once it is reported.
+  evaluated exactly once it is reported.
 * Unbounded domains use ``float('inf')`` sentinels for comparison only;
   they never take part in arithmetic.
 
@@ -161,10 +166,49 @@ class Polynomial:
             out = tuple(res)
         return Polynomial(_trim(list(out)))
 
-    def reflect(self) -> "Polynomial":
-        """Returns q with q(t) = p(-t)."""
-        return Polynomial(
-            tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
+    def as_int(self) -> "IntPolynomial":
+        """The same polynomial as integers over their least common
+        denominator."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return IntPolynomial(tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+
+
+@dataclass(frozen=True)
+class IntPolynomial:
+    """The polynomial num(x) / den: integer coefficients ``num``, lowest
+    power first with trailing zeros trimmed, over an integer ``den > 0``.
+
+    This is the form the sign kernel decides on; ``den`` only enters the
+    exact values it reports.
+    """
+
+    num: tuple
+    den: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.num) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def as_int(self) -> "IntPolynomial":
+        return self
+
+    def __call__(self, x) -> Rat:
+        if not self.num:
+            return ZERO
+        a, b = rat(x).as_integer_ratio()
+        return Rat(_homogeneous(self.num, a, b), b**self.degree * self.den)
+
+    def __neg__(self) -> "IntPolynomial":
+        return IntPolynomial(tuple(-c for c in self.num), self.den)
+
+    def reflect(self) -> "IntPolynomial":
+        """num(-t) / den."""
+        return IntPolynomial(
+            tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.num)), self.den
         )
 
 
@@ -181,31 +225,25 @@ def monomial_power(root, k: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _int_numerators(cs: Sequence) -> tuple[list, int]:
-    """Integers N and the least common denominator D with cs == N / D."""
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
-
-
 def _primitive_int(cs: Sequence) -> tuple:
-    """Scale by a positive rational so coefficients become coprime ints."""
-    if not cs:
-        return ()
-    nums, _ = _int_numerators(cs)
-    g = math.gcd(*nums)
-    if g > 1:
-        nums = [n // g for n in nums]
-    return tuple(nums)
+    """Integer coefficients divided by their gcd: coprime, same signs."""
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
 
 
-def _sign_at(cs: Sequence, x) -> int:
-    """Sign of p(x), read off b**d * p(a/b) for x = a/b by homogeneous
-    Horner; integer coefficients keep the whole evaluation on ints."""
-    a, b = x.as_integer_ratio()
+def _homogeneous(cs: Sequence, a: int, b: int) -> int:
+    """b**d * p(a/b) for integer coefficients of degree d, by homogeneous
+    Horner: the whole evaluation stays on ints."""
     acc, bk = 0, 1
     for c in reversed(cs):
         acc = acc * a + c * bk
         bk *= b
+    return acc
+
+
+def _sign_at(cs: Sequence, x) -> int:
+    """Sign of p(x) for integer coefficients, read off b**d * p(a/b)."""
+    acc = _homogeneous(cs, *x.as_integer_ratio())
     return (acc > 0) - (acc < 0)
 
 
@@ -467,20 +505,21 @@ def _nonnegative(touch: Iterable) -> SignReport:
     )
 
 
-def nonneg_on_interval(p: Polynomial, lo, hi) -> SignReport:
-    """Exact decision of p(x) >= 0 for all x in [lo, hi]."""
+def nonneg_on_interval(p, lo, hi) -> SignReport:
+    """Exact decision of p(x) >= 0 for all x in [lo, hi]; p is a
+    Polynomial or an IntPolynomial."""
     lo, hi = rat(lo), rat(hi)
     if not lo < hi:
         raise ValueError("nonneg_on_interval requires lo < hi")
-    cs = p.coeffs
-    if not cs:
+    p = p.as_int()
+    if p.is_zero:
         return _nonnegative(())
-    ip = _primitive_int(cs)
+    ip = _primitive_int(p.num)
     touch = set()
     for pt in (lo, hi, (lo + hi) / 2):
         s = _sign_at(ip, pt)
         if s < 0:
-            return _negative(pt, _peval(cs, pt))
+            return _negative(pt, p(pt))
         if s == 0:
             touch.add(pt)
     deg = len(ip) - 1
@@ -496,7 +535,7 @@ def nonneg_on_interval(p: Polynomial, lo, hi) -> SignReport:
         if lo <= vertex <= hi:
             s = _sign_at(ip, vertex)
             if ip[2] > 0 and s < 0:
-                return _negative(vertex, _peval(cs, vertex))
+                return _negative(vertex, p(vertex))
             if s == 0:
                 touch.add(vertex)
         return _nonnegative(touch)
@@ -505,19 +544,19 @@ def nonneg_on_interval(p: Polynomial, lo, hi) -> SignReport:
     for pt in (lo + quarter, hi - quarter):
         s = _sign_at(ip, pt)
         if s < 0:
-            return _negative(pt, _peval(cs, pt))
+            return _negative(pt, p(pt))
         if s == 0:
             touch.add(pt)
     if all(c >= 0 for c in _taylor_at(ip, lo, len(ip))):
         # every coefficient of p(lo + t) nonnegative: p >= 0 for t >= 0,
         # with no zero beyond t = 0
         return _nonnegative(touch)
-    return _nonneg_by_isolation(cs, ip, lo, hi, touch)
+    return _nonneg_by_isolation(p, ip, lo, hi, touch)
 
 
-def _nonneg_by_isolation(cs: tuple, ip: tuple, lo, hi, touch: set) -> SignReport:
+def _nonneg_by_isolation(p: IntPolynomial, ip: tuple, lo, hi, touch: set) -> SignReport:
     """The isolation path of nonneg_on_interval; ``ip`` is the primitive
-    integer form of the rational coefficients ``cs``."""
+    form of ``p.num``."""
     g = _square_free(ip)
     while _sign_at(g, lo) == 0:
         g = _deflate(g, lo)
@@ -548,41 +587,41 @@ def _nonneg_by_isolation(cs: tuple, ip: tuple, lo, hi, touch: set) -> SignReport
     for s in samples:
         sign = _sign_at(ip, s)
         if sign < 0:
-            return _negative(s, _peval(cs, s))
+            return _negative(s, p(s))
         if sign == 0:
             touch.add(s)
     return _nonnegative(touch)
 
 
 def _cauchy_root_bound(cs: tuple) -> Rat:
-    """All real roots lie in [-B, B]."""
-    lead = cs[-1]
-    m = max(abs(c / lead) for c in cs[:-1]) if len(cs) > 1 else ZERO
-    return ONE + m
+    """All real roots of the integer polynomial cs lie in [-B, B]."""
+    return ONE + rat(max(abs(c) for c in cs[:-1]), abs(cs[-1]))
 
 
-def nonneg_on_ray(p: Polynomial, lo) -> SignReport:
-    """Exact decision of p(x) >= 0 for all x >= lo."""
+def nonneg_on_ray(p, lo) -> SignReport:
+    """Exact decision of p(x) >= 0 for all x >= lo; p is a Polynomial or
+    an IntPolynomial."""
     lo = rat(lo)
-    cs = p.coeffs
+    p = p.as_int()
+    cs = p.num
     if not cs:
         return _nonnegative(())
     if len(cs) == 1:
         if cs[0] < 0:
-            return _negative(lo, cs[0])
+            return _negative(lo, p(lo))
         return _nonnegative(())
-    if cs[-1] < 0:
-        far = max(lo, _cauchy_root_bound(cs)) + 1
-        v = _peval(cs, far)
-        assert v < 0
-        return _negative(far, v)
     cut = max(lo, _cauchy_root_bound(cs)) + 1
+    if cs[-1] < 0:
+        v = p(cut)
+        assert v < 0
+        return _negative(cut, v)
     return nonneg_on_interval(p, lo, cut)
 
 
-def nonneg_on_left_ray(p: Polynomial, hi) -> SignReport:
-    """Exact decision of p(x) >= 0 for all x <= hi."""
-    rep = nonneg_on_ray(p.reflect(), -rat(hi))
+def nonneg_on_left_ray(p, hi) -> SignReport:
+    """Exact decision of p(x) >= 0 for all x <= hi; p is a Polynomial or
+    an IntPolynomial."""
+    rep = nonneg_on_ray(p.as_int().reflect(), -rat(hi))
     return SignReport(
         rep.verdict,
         None if rep.witness is None else -rep.witness,
@@ -598,11 +637,13 @@ def nonneg_on_left_ray(p: Polynomial, hi) -> SignReport:
 
 @dataclass(frozen=True)
 class Piece:
-    """One polynomial piece on [lower, upper); bounds may be +/-inf."""
+    """One polynomial piece on [lower, upper); bounds may be +/-inf.  The
+    polynomial is rational or, on a curve built in integer form, an
+    IntPolynomial."""
 
     lower: Bound
     upper: Bound
-    poly: Polynomial
+    poly: Union[Polynomial, IntPolynomial]
 
 
 @dataclass(frozen=True)
@@ -632,9 +673,10 @@ class PiecewisePolynomial:
         if validate and continuity_class >= 0:
             # C^k at x: the k + 1 lowest Taylor coefficients of the
             # difference of the two pieces vanish there
-            ints = [_int_numerators(pc.poly.coeffs) for pc in pieces]
-            for left, (ln, ld), (rn, rd) in zip(pieces, ints, ints[1:]):
-                diff = _trim([u * rd - v * ld for u, v in zip_longest(ln, rn, fillvalue=0)])
+            ints = [pc.poly.as_int() for pc in pieces]
+            for left, lp, rp in zip(pieces, ints, ints[1:]):
+                ld, rd = (1, 1) if lp.den == rp.den else (lp.den, rp.den)
+                diff = _trim([u * rd - v * ld for u, v in zip_longest(lp.num, rp.num, fillvalue=0)])
                 if diff and any(_taylor_at(diff, left.upper, continuity_class + 1)):
                     raise ValueError(
                         f"pieces disagree at breakpoint {left.upper} for "
@@ -674,7 +716,7 @@ class PiecewisePolynomial:
 def _coalesce(pieces: list[Piece]) -> list[Piece]:
     out: list[Piece] = []
     for pc in pieces:
-        if out and out[-1].poly.coeffs == pc.poly.coeffs:
+        if out and out[-1].poly == pc.poly:
             out[-1] = Piece(out[-1].lower, pc.upper, pc.poly)
         else:
             out.append(pc)
@@ -706,6 +748,38 @@ def pw_linear_combine(
     pieces = _coalesce(pieces)
     cls = min(f.continuity_class, g.continuity_class)
     return PiecewisePolynomial(tuple(pieces), cls)
+
+
+def pw_integrated_measure(atoms: Sequence, k: int, lo: Bound, hi: Bound) -> PiecewisePolynomial:
+    """(1/k!) * sum_a w_a (x - a)_+^k on [lo, hi] for a signed measure
+    given by its atoms (a, w_a), sorted with distinct rational
+    lo <= a < hi, built on ints.
+
+    With D the least common denominator of the atoms and W that of the
+    weights, the piece right of an atom is N(x) / K with integer
+    N(x) = sum w_a W (D x - a D)^k over the atoms up to it and
+    K = k! W D^k.  Pieces break at the atoms; adjacent pieces with equal N
+    coalesce, and the result is checked to be C^(k-1).
+    """
+    unit = math.lcm(*(a.denominator for a, _ in atoms))
+    wunit = math.lcm(*(w.denominator for _, w in atoms))
+    den = math.factorial(k) * wunit * unit**k
+    # N_j = C(k, j) D^j s_{k-j}, with s_i = sum w_a W (-a D)^i
+    binom = [math.comb(k, j) * unit**j for j in range(k + 1)]
+    sums = [0] * (k + 1)
+    first = atoms[0][0]
+    pieces = [] if first == lo else [Piece(lo, first, IntPolynomial((), den))]
+    uppers = [a for a, _ in atoms[1:]] + [hi]
+    for (a, w), upper in zip(atoms, uppers):
+        if w:
+            term = w.numerator * (wunit // w.denominator)
+            shift = -a.numerator * (unit // a.denominator)
+            for i in range(k + 1):
+                sums[i] += term
+                term *= shift
+        num = _trim([binom[j] * sums[k - j] for j in range(k + 1)])
+        pieces.append(Piece(a, upper, IntPolynomial(num, den)))
+    return PiecewisePolynomial.make(_coalesce(pieces), k - 1)
 
 
 def pw_antiderivative(
@@ -755,13 +829,6 @@ def pw_antiderivative(
     return PiecewisePolynomial(tuple(out), f.continuity_class + 1)
 
 
-def pw_derivative(f: PiecewisePolynomial) -> PiecewisePolynomial:
-    return PiecewisePolynomial(
-        tuple(Piece(pc.lower, pc.upper, pc.poly.derivative()) for pc in f.pieces),
-        max(f.continuity_class - 1, -1),
-    )
-
-
 def pw_integral(f: PiecewisePolynomial) -> Rat:
     """Integral of f over its whole domain, exactly.
 
@@ -809,17 +876,16 @@ class PwSignResult:
 
 
 def _piece_sign(pc: Piece) -> SignReport:
-    poly = pc.poly
+    poly = pc.poly.as_int()
     if poly.degree <= 0:
-        c = poly.coeffs[0] if poly.coeffs else ZERO
-        if c < 0:
+        if poly.num and poly.num[0] < 0:
             if pc.lower == NEG_INF:
                 pt = pc.upper - 1
             elif pc.upper == POS_INF:
                 pt = pc.lower + 1
             else:
                 pt = (pc.lower + pc.upper) / 2
-            return _negative(rat(pt), c)
+            return _negative(rat(pt), poly(pt))
         return _nonnegative(())
     if pc.lower == NEG_INF:
         return nonneg_on_left_ray(poly, pc.upper)

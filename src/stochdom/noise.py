@@ -180,6 +180,10 @@ def noise_search(
     if budget.spread < 1:
         # a lattice step of spread/q <= 0 stacks or reverses the atoms of Z
         raise InvalidBudget(f"spread must be at least 1, got {budget.spread}")
+    for field in ("max_candidates", "support_cap"):
+        # with no candidate to try the walk would end in a vacuous NotFound
+        if getattr(budget, field) < 1:
+            raise InvalidBudget(f"{field} must be at least 1, got {getattr(budget, field)}")
     pre = (
         noise_precondition(x, y, n)
         if relation == "sd"

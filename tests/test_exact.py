@@ -295,7 +295,7 @@ def _kernel_cases():
 
 def test_integer_kernel_matches_fraction_reference():
     for p, q, points in _kernel_cases():
-        ip = _primitive_int(p.coeffs)
+        ip = _primitive_int(p.as_int().num)
         assert _positive_multiple(ip, p.coeffs)
         for x in points:
             assert _sign_at(ip, x) == _sgn(_peval(p.coeffs, x))
@@ -303,10 +303,10 @@ def test_integer_kernel_matches_fraction_reference():
             a, b = x.as_integer_ratio()
             scaled = [r * b**j for j, r in enumerate(taylor)]
             assert _positive_multiple(scaled, p.shift(x).coeffs)
-        iq = _primitive_int(q.coeffs)
+        iq = _primitive_int(q.as_int().num)
         if q.degree >= 1 and p.degree >= q.degree:
             assert _positive_multiple(_prem(ip, iq), _fraction_rem(p.coeffs, q.coeffs))
-    assert _sign_at(_primitive_int(P(rat(-1, 4), 0, 1).coeffs), rat(1, 2)) == 0
+    assert _sign_at(_primitive_int(P(rat(-1, 4), 0, 1).as_int().num), rat(1, 2)) == 0
 
 
 # ---------------------------------------------------------------------------

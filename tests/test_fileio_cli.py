@@ -17,7 +17,7 @@ from stochdom import (
 )
 from stochdom._scalar import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT, rat_str
 from stochdom.cli import run_cli
-from stochdom.errors import MassNotOne, ParseError
+from stochdom.errors import MassNotOne, ParseError, StochdomError, ValueTooLarge
 from stochdom.fileio import curve_sample_csv, distribution_doc
 from stochdom.transforms import CurveKind
 
@@ -104,6 +104,18 @@ def test_cli_rejects_oversized_numbers(tmp_path, capsys):
         assert run_cli(["moments", "--upto", "2", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "error" in err
+
+
+def test_cli_rejects_output_past_the_digit_limit(tmp_path, capsys):
+    # the order-12 cdf has (x - 10**400)**11 in it: 4,401 digits
+    path = tmp_path / "wide.json"
+    path.write_text('{"atoms": [{"value": "0", "mass": "1/2"}, {"value": "1e400", "mass": "1/2"}]}')
+    assert run_cli(["transform", "--kind", "cdf", "--order", "12", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot be written out" in err
+    with pytest.raises(ValueTooLarge):
+        rat_str(rat(10) ** 4400)
+    assert issubclass(ValueTooLarge, StochdomError)
 
 
 def test_parse_reports_field(tmp_path):

@@ -87,6 +87,11 @@ def test_search_rejects_spread_below_one(mps_pair, spread):
     for relation in ("sd", "isd"):
         with pytest.raises(InvalidBudget, match="spread must be at least 1"):
             noise_search(base, spread_side, 2, budget, relation)
+        # an empty candidate walk or support cap is rejected the same way
+        for field in ("max_candidates", "support_cap"):
+            empty = SearchBudget(**{field: spread})
+            with pytest.raises(InvalidBudget, match=f"{field} must be at least 1"):
+                noise_search(base, spread_side, 2, empty, relation)
     assert issubclass(InvalidBudget, StochdomError)
 
 
