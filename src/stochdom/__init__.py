@@ -93,12 +93,9 @@ from .transforms import (
     IntegratedCurve,
     N_MAX,
     asymptote,
-    integrated_cdf,
+    difference_curve,
     integrated_curve,
     integrated_curve_via_recursion,
-    integrated_quantile,
-    integrated_survival,
-    integrated_upper_quantile,
     orderstat_expansion,
 )
 

@@ -16,13 +16,10 @@ these curve families is equivalent to strict inequality at some point;
 Equivalent (difference identically zero) happens only for identical
 distributions.  Witnesses carry an exact point and the exact gap there.
 
-The difference curve is built once, on integers, as the order-n curve
-(1/(n-1)!) * sum_a w_a (t - a)_+^(n-1) of a signed measure: for n-SD the
-atoms of X with +mass and those of Y with -mass, on the union of the
-supports; for n-ISD the value jumps of the quantile of Y (+) and of X
-(-), at the union of the cut points.  With D and W the common
-denominators of the atoms and the weights, each piece is N(t) / K with
-integer N(t) = sum_a w_a W (D t - a D)^(n-1) and K = (n-1)! W D^(n-1) > 0
+The difference curve is ``transforms.difference_curve``, built once, on
+integers, as the order-n curve of a signed measure: for n-SD the atoms
+of X with +mass and those of Y with -mass; for n-ISD the quantile jumps
+of Y (+) and of X (-).  Each piece is N(t) / K with integer N and K > 0
 (``exact.pw_integrated_measure``).  N divided by the gcd of its
 coefficients is the primitive integer polynomial the sign kernel would
 take from the rational difference, so the sweep sees the same
@@ -40,14 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from heapq import merge
-from operator import itemgetter
 from typing import Optional
 
-from ._scalar import ONE, ZERO, Rat, rat
-from .distributions import DiscreteDistribution, min_orderstat_mean, quantile
-from .exact import NEG_INF, POS_INF, Piece, PiecewisePolynomial, _piece_sign, pw_integrated_measure, pw_nonneg
-from .transforms import _check_order
+from ._scalar import Rat, rat
+from .distributions import DiscreteDistribution, min_orderstat_mean
+from .errors import OrderOutOfRange
+from .exact import Piece, PiecewisePolynomial, _piece_sign, pw_nonneg
+from .transforms import CurveKind, difference_curve
 
 
 class Relation(Enum):
@@ -135,41 +131,6 @@ def _decide(diff: PiecewisePolynomial, mode: str, order: int, open_unit: bool) -
     )
 
 
-def _signed_measure(plus, minus) -> list:
-    """The atoms (a, w) of the signed measure with +w at a for each (a, w)
-    in ``plus`` and -w for each in ``minus``, both sorted by a; the result
-    is sorted too, and shared atoms add up."""
-    atoms: list = []
-    for a, w in merge(plus, ((a, -w) for a, w in minus), key=itemgetter(0)):
-        if atoms and atoms[-1][0] == a:
-            atoms[-1] = (a, atoms[-1][1] + w)
-        else:
-            atoms.append((a, w))
-    return atoms
-
-
-def _quantile_jumps(d: DiscreteDistribution):
-    """(cut point, jump) of the quantile step at each of its jumps, the
-    first from 0 at p = 0."""
-    step = quantile(d)
-    values = step.values
-    return zip(step.cut_points, (b - a for a, b in zip((ZERO,) + values, values)))
-
-
-def _sd_difference(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> PiecewisePolynomial:
-    """F_x^[n] - F_y^[n], the order-n curve of the signed measure X - Y."""
-    _check_order(n)
-    return pw_integrated_measure(_signed_measure(x.atoms, y.atoms), n - 1, NEG_INF, POS_INF)
-
-
-def _isd_difference(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> PiecewisePolynomial:
-    """F_y^[-n] - F_x^[-n], the order-n curve of the quantile jumps of y
-    less those of x."""
-    _check_order(n)
-    measure = _signed_measure(_quantile_jumps(y), _quantile_jumps(x))
-    return pw_integrated_measure(measure, n - 1, ZERO, ONE)
-
-
 def sd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Verdict:
     """Decide n-SD between x and y.
 
@@ -178,7 +139,7 @@ def sd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Verd
     witness_left locates a strictly positive gap (strictness evidence),
     witness_right a strictly negative one (refutation of LeftDominated).
     """
-    return _decide(_sd_difference(x, y, n), "sd", n, open_unit=False)
+    return _decide(difference_curve(x, y, CurveKind.CDF, n), "sd", n, open_unit=False)
 
 
 def isd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Verdict:
@@ -190,7 +151,7 @@ def isd_compare(x: DiscreteDistribution, y: DiscreteDistribution, n: int) -> Ver
     comparison on piece interiors is equivalent by left-continuity.
     Witnesses are always interior points.
     """
-    return _decide(_isd_difference(x, y, n), "isd", n, open_unit=True)
+    return _decide(difference_curve(y, x, CurveKind.QUANTILE, n), "isd", n, open_unit=True)
 
 
 def strong_isd_compare(
@@ -204,46 +165,22 @@ def strong_isd_compare(
     which need not exist on the failing side).
     """
     if n < 2:
-        from .errors import OrderOutOfRange
-
         raise OrderOutOfRange("strong n-ISD needs order >= 2")
     base = isd_compare(x, y, n)
     checks = []
     for j in range(1, n):
         mx, my = min_orderstat_mean(x, j), min_orderstat_mean(y, j)
         checks.append(OrderStatCheck(j, mx, my, mx == my))
-    certificate = tuple(checks) + base.certificate
-    all_equal = all(c.equal for c in checks)
-    if base.relation is Relation.EQUIVALENT:
-        return Verdict(
-            Relation.EQUIVALENT, False, None, None, certificate, "strong-isd", n
-        )
-    if base.relation is Relation.LEFT_DOMINATED and all_equal:
-        return Verdict(
-            Relation.LEFT_DOMINATED,
-            base.strict,
-            base.witness_left,
-            None,
-            certificate,
-            "strong-isd",
-            n,
-        )
-    if base.relation is Relation.RIGHT_DOMINATED and all_equal:
-        return Verdict(
-            Relation.RIGHT_DOMINATED,
-            base.strict,
-            None,
-            base.witness_right,
-            certificate,
-            "strong-isd",
-            n,
-        )
+    # a failed equality turns a dominance into Incomparable; the witnesses
+    # stay the base's, where _decide already left the missing side None
+    dominated = base.relation in (Relation.LEFT_DOMINATED, Relation.RIGHT_DOMINATED)
+    broken = dominated and not all(c.equal for c in checks)
     return Verdict(
-        Relation.INCOMPARABLE,
-        False,
+        Relation.INCOMPARABLE if broken else base.relation,
+        base.strict and not broken,
         base.witness_left,
         base.witness_right,
-        certificate,
+        tuple(checks) + base.certificate,
         "strong-isd",
         n,
     )

@@ -19,9 +19,11 @@ Conventions
   located exactly are reported as touch points.
 * The sign kernel takes an :class:`IntPolynomial`, integer coefficients
   over a positive denominator; a :class:`Polynomial` is converted once
-  on the way in.  ``pw_integrated_measure`` builds a whole curve in that
-  form, so the difference curves of the dominance decisions never pass
-  through rational coefficients.
+  on the way in.  ``pw_integrated_measure`` is the one curve builder:
+  it builds the order-n curve of a signed measure in that form, so the
+  difference curves of the dominance decisions never pass through
+  rational coefficients, and a single curve becomes rational by one
+  ``IntPolynomial.as_rational`` per piece.
 * Values stay exact rationals at the boundary: bounds, witnesses, touch
   points and witness values are ``Rat``, and a witness value is
   evaluated exactly once it is reported.
@@ -211,13 +213,10 @@ class IntPolynomial:
             tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.num)), self.den
         )
 
-
-def monomial_power(root, k: int) -> Polynomial:
-    """(x - root)**k expanded with exact binomial coefficients."""
-    root = rat(root)
-    return Polynomial.make(
-        [math.comb(k, i) * (-root) ** (k - i) for i in range(k + 1)]
-    )
+    def as_rational(self) -> Polynomial:
+        """The same polynomial with rational coefficients; the inverse of
+        ``Polynomial.as_int``."""
+        return Polynomial(tuple(Rat(c, self.den) for c in self.num))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,9 @@ from .noise import (
 from .transforms import (
     CurveKind,
     asymptote,
-    integrated_cdf,
+    difference_curve,
+    integrated_curve,
     integrated_curve_via_recursion,
-    integrated_quantile,
-    integrated_survival,
 )
 from .noise import dominance_gap_integral
 
@@ -618,7 +617,7 @@ def _suite_mu_oracle(trials: int, cfg: GenConfig) -> PropertySuiteReport:
         k = rng.randint(1, 6)
         mu = min_orderstat_mean(d, k)
         brute = _brute_min_orderstat(d, k)
-        via_curve = math.factorial(k) * integrated_quantile(d, k + 1).curve(ONE)
+        via_curve = math.factorial(k) * integrated_curve(d, CurveKind.QUANTILE, k + 1).curve(ONE)
         if mu != brute or mu != via_curve:
             run.violate(
                 t, _pair_snapshot(d), "mu-oracle",
@@ -635,7 +634,7 @@ def _suite_asymptote(trials: int, cfg: GenConfig) -> PropertySuiteReport:
         rng = run.trial_rng(t)
         d = _random_dist(rng, replace(cfg, seed=rng.next_u64()))
         n = rng.randint(2, 6)
-        tail = integrated_cdf(d, n).curve.pieces[-1].poly
+        tail = integrated_curve(d, CurveKind.CDF, n).curve.pieces[-1].poly
         poly = asymptote(d, n).poly
         if tail.coeffs != poly.coeffs:
             run.violate(
@@ -715,14 +714,10 @@ def _fixable_order1_pair(
             continue
         if sd_compare(y, x, 1).relation is Relation.LEFT_DOMINATED:
             continue  # want a pair the identity noise cannot settle
-        gap2 = pw_linear_combine(
-            integrated_cdf(y, 2).curve, integrated_cdf(x, 2).curve, 1, -1
-        )
+        gap2 = difference_curve(y, x, CurveKind.CDF, 2)
         if not pw_nonneg(gap2).nonnegative:
             continue
-        surv2 = pw_linear_combine(
-            integrated_survival(x, 2).curve, integrated_survival(y, 2).curve, 1, -1
-        )
+        surv2 = difference_curve(x, y, CurveKind.SURVIVAL, 2)
         if not pw_nonneg(surv2).nonnegative:
             continue
         return x, y
@@ -731,7 +726,7 @@ def _fixable_order1_pair(
 
 def _reverify_found(report: NoiseSearchReport, x, y, n: int) -> bool:
     """Re-verify a Found result through the recursive curve construction,
-    an independent path from the closed forms the search used."""
+    an independent path from the signed-measure builder the search used."""
     cx = convolve(x, report.z)
     cy = convolve(y, report.z)
     fd = integrated_curve_via_recursion(cy, CurveKind.CDF, n).curve

@@ -42,7 +42,7 @@ from .distributions import (
 from .dominance import Relation, Verdict, isd_compare, sd_compare
 from .errors import InvalidBudget, MomentHypothesisViolated, OrderOutOfRange
 from .exact import pw_linear_combine, pw_integral
-from .transforms import N_MAX, integrated_cdf
+from .transforms import N_MAX, CurveKind, integrated_curve
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,10 @@ def dominance_gap_integral(
         if raw_moment(x, k) != raw_moment(y, k):
             raise MomentHypothesisViolated(k)
     diff = pw_linear_combine(
-        integrated_cdf(y, n).curve, integrated_cdf(x, n).curve, 1, -1
+        integrated_curve(y, CurveKind.CDF, n).curve,
+        integrated_curve(x, CurveKind.CDF, n).curve,
+        1,
+        -1,
     )
     tail = diff.pieces[-1].poly
     assert tail.is_zero, "equal moments up to n-1 must cancel the right tail"

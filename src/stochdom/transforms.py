@@ -10,11 +10,23 @@ c_i, the four curve families are
 * upper quantile:     (1/(n-1)!) * sum_i x_i [(c_i-p)_+^{n-1} - (c_{i-1}-p)_+^{n-1}]
 
 with n = 1 reducing to the right-continuous step CDF/survival and the
-left-continuous quantile step.  The order-n curves for n >= 2 are
-C^{n-2}, the CDF kind is nonnegative, nondecreasing and convex, and each
-closed form equals the n-fold anchored integral of the step function
-(``integrated_curve_via_recursion`` rebuilds them that way as an
-independent cross-check).
+left-continuous quantile step.
+
+Each is the order-n curve (1/(n-1)!) * sum_a w_a (t - a)_+^{n-1} of a
+measure, built by the one integer builder ``exact.pw_integrated_measure``.
+The cdf's measure is the atoms (x_i, m_i); the quantile's is the jump
+x_i - x_{i-1} (x_0 = 0) at each c_{i-1}.  The right-tail kinds are the
+curves of reflected measures, read at -t: the survival's measure is
+(-x_i, m_i), the upper quantile's is x_m at -1 and x_i - x_{i+1} at -c_i
+for 0 < c_i < 1.  ``difference_curve`` builds the curve of X less that of
+Y from the signed measure X - Y, in integer pieces, for the dominance
+decisions; ``integrated_curve`` gives one distribution's curve in
+rational pieces.
+
+The order-n curves for n >= 2 are C^{n-2}, the CDF kind is nonnegative,
+nondecreasing and convex, and each equals the n-fold anchored integral of
+the step function (``integrated_curve_via_recursion`` rebuilds them that
+way as an independent cross-check).
 
 Beyond the support maximum the cdf curve coincides exactly with a
 degree-(n-1) polynomial in the raw moments: it is the right lower
@@ -27,6 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from heapq import merge
+from operator import itemgetter
+from typing import Sequence
 
 from ._scalar import Rat, ZERO, ONE, rat
 from .distributions import DiscreteDistribution, min_orderstat_mean, quantile, raw_moment
@@ -37,8 +52,8 @@ from .exact import (
     Piece,
     PiecewisePolynomial,
     Polynomial,
-    monomial_power,
     pw_antiderivative,
+    pw_integrated_measure,
 )
 
 N_MAX = 12
@@ -76,95 +91,77 @@ def _check_order(n: int, minimum: int = 1) -> None:
         raise OrderOutOfRange(f"order {n} outside [{minimum}, {N_MAX}]")
 
 
+# the interval each kind's measure is built on; the curves of the
+# reflected kinds live on its mirror image
+_BUILD_DOMAIN = {
+    CurveKind.CDF: (NEG_INF, POS_INF),
+    CurveKind.SURVIVAL: (NEG_INF, POS_INF),
+    CurveKind.QUANTILE: (ZERO, ONE),
+    CurveKind.UPPER_QUANTILE: (-ONE, ZERO),
+}
+
+
 def _inv_factorial(n: int) -> Rat:
     return rat(1, math.factorial(n))
 
 
-def integrated_cdf(d: DiscreteDistribution, n: int) -> IntegratedCurve:
-    """n-fold left-tail integral of the CDF; step CDF for n = 1."""
-    _check_order(n)
-    values, masses = d.values, d.masses
-    factor = _inv_factorial(n - 1)
-    pieces = [Piece(NEG_INF, values[0], Polynomial.zero())]
-    acc = Polynomial.zero()
-    edges = list(values) + [POS_INF]
-    for i in range(len(values)):
-        acc = acc + monomial_power(values[i], n - 1).scale(factor * masses[i])
-        pieces.append(Piece(edges[i], edges[i + 1], acc))
-    curve = PiecewisePolynomial.make(pieces, n - 2)
-    return IntegratedCurve(CurveKind.CDF, n, curve, d)
-
-
-def integrated_survival(d: DiscreteDistribution, n: int) -> IntegratedCurve:
-    """n-fold right-tail integral of the survival function; vanishes at
-    and beyond the support maximum."""
-    _check_order(n)
-    values, masses = d.values, d.masses
-    factor = _inv_factorial(n - 1)
-    sign = ONE if (n - 1) % 2 == 0 else -ONE
-    acc = Polynomial.zero()
-    for v, m in d.atoms:
-        # (x_i - x)^{n-1} = (-1)^{n-1} (x - x_i)^{n-1}
-        acc = acc + monomial_power(v, n - 1).scale(sign * factor * m)
-    tail = [Piece(NEG_INF, values[0], acc)]
-    edges = list(values) + [POS_INF]
-    for i in range(len(values)):
-        acc = acc - monomial_power(values[i], n - 1).scale(sign * factor * masses[i])
-        tail.append(Piece(edges[i], edges[i + 1], acc))
-    curve = PiecewisePolynomial.make(tail, n - 2)
-    return IntegratedCurve(CurveKind.SURVIVAL, n, curve, d)
-
-
-def integrated_quantile(d: DiscreteDistribution, n: int) -> IntegratedCurve:
-    """n-fold integral from 0 of the left-continuous quantile; the step
-    itself for n = 1.  Domain [0, 1]."""
-    _check_order(n)
+def _measure(d: DiscreteDistribution, kind: CurveKind) -> Sequence:
+    """The atoms (a, w), sorted by a, of the measure whose left-tail curve
+    is the kind's curve: at t for cdf and quantile, at -t for the
+    reflected kinds."""
+    if kind is CurveKind.CDF:
+        return d.atoms
+    if kind is CurveKind.SURVIVAL:
+        return [(-v, m) for v, m in reversed(d.atoms)]
     step = quantile(d)
     cuts, values = step.cut_points, step.values
-    factor = _inv_factorial(n - 1)
-    pieces = []
-    acc = Polynomial.zero()
-    prev_value = ZERO
-    for i, v in enumerate(values):
-        acc = acc + monomial_power(cuts[i], n - 1).scale(factor * (v - prev_value))
-        prev_value = v
-        pieces.append(Piece(cuts[i], cuts[i + 1], acc))
-    curve = PiecewisePolynomial.make(pieces, n - 2)
-    return IntegratedCurve(CurveKind.QUANTILE, n, curve, d)
+    if kind is CurveKind.QUANTILE:
+        return list(zip(cuts, (b - a for a, b in zip((ZERO,) + values, values))))
+    inner = [(-c, a - b) for c, a, b in zip(cuts[1:-1], values, values[1:])]
+    return [(-ONE, values[-1])] + inner[::-1]
 
 
-def integrated_upper_quantile(d: DiscreteDistribution, n: int) -> IntegratedCurve:
-    """n-fold integral toward 1 of the quantile; vanishes at p = 1."""
-    _check_order(n)
-    step = quantile(d)
-    cuts, values = step.cut_points, step.values
-    factor = _inv_factorial(n - 1)
-    sign = ONE if (n - 1) % 2 == 0 else -ONE
-    m = len(values)
-    acc = monomial_power(ONE, n - 1).scale(sign * factor * values[-1])
-    rev = [Piece(cuts[m - 1], cuts[m], acc)]
-    for i in range(m - 2, -1, -1):
-        # (c_i - p)^{n-1} = (-1)^{n-1}(p - c_i)^{n-1}
-        acc = acc - monomial_power(cuts[i + 1], n - 1).scale(
-            sign * factor * (values[i + 1] - values[i])
-        )
-        rev.append(Piece(cuts[i], cuts[i + 1], acc))
-    rev.reverse()
-    curve = PiecewisePolynomial.make(rev, n - 2)
-    return IntegratedCurve(CurveKind.UPPER_QUANTILE, n, curve, d)
+def _signed_measure(plus, minus) -> list:
+    """The atoms (a, w) of the signed measure with +w at a for each (a, w)
+    in ``plus`` and -w for each in ``minus``, both sorted by a; the result
+    is sorted too, and shared atoms add up."""
+    atoms: list = []
+    for a, w in merge(plus, ((a, -w) for a, w in minus), key=itemgetter(0)):
+        if atoms and atoms[-1][0] == a:
+            atoms[-1] = (a, atoms[-1][1] + w)
+        else:
+            atoms.append((a, w))
+    return atoms
+
+
+def _build(atoms: list, kind: CurveKind, n: int) -> PiecewisePolynomial:
+    """The order-n curve of the kind's measure, in integer pieces; for the
+    reflected kinds each piece is read at -t and the order reverses."""
+    lo, hi = _BUILD_DOMAIN[kind]
+    curve = pw_integrated_measure(atoms, n - 1, lo, hi)
+    if kind in (CurveKind.CDF, CurveKind.QUANTILE):
+        return curve
+    pieces = [Piece(-pc.upper, -pc.lower, pc.poly.reflect()) for pc in reversed(curve.pieces)]
+    return PiecewisePolynomial(tuple(pieces), curve.continuity_class)
 
 
 def integrated_curve(
     d: DiscreteDistribution, kind: CurveKind, n: int
 ) -> IntegratedCurve:
-    """The order-n curve of the given kind."""
-    build = {
-        CurveKind.CDF: integrated_cdf,
-        CurveKind.SURVIVAL: integrated_survival,
-        CurveKind.QUANTILE: integrated_quantile,
-        CurveKind.UPPER_QUANTILE: integrated_upper_quantile,
-    }[kind]
-    return build(d, n)
+    """The order-n curve of the given kind, in rational pieces."""
+    _check_order(n)
+    curve = _build(_measure(d, kind), kind, n)
+    pieces = tuple(Piece(pc.lower, pc.upper, pc.poly.as_rational()) for pc in curve.pieces)
+    return IntegratedCurve(kind, n, PiecewisePolynomial(pieces, curve.continuity_class), d)
+
+
+def difference_curve(
+    x: DiscreteDistribution, y: DiscreteDistribution, kind: CurveKind, n: int
+) -> PiecewisePolynomial:
+    """The order-n curve of x less that of y, in integer pieces: the curve
+    of the signed measure with x's atoms positive and y's negative."""
+    _check_order(n)
+    return _build(_signed_measure(_measure(x, kind), _measure(y, kind)), kind, n)
 
 
 def asymptote(d: DiscreteDistribution, n: int) -> AsymptotePoly:
@@ -221,7 +218,7 @@ def integrated_curve_via_recursion(
     d: DiscreteDistribution, kind: CurveKind, n: int
 ) -> IntegratedCurve:
     """Build the order-n curve by n-1 anchored integrations of the order-1
-    step curve instead of the closed form: from the left end for the cdf
+    step curve, not from the measure: from the left end for the cdf
     and quantile kinds, from the right end for the other two."""
     _check_order(n)
     curve = integrated_curve(d, kind, 1).curve

@@ -24,7 +24,7 @@ from stochdom import (
     strong_isd_compare,
 )
 from stochdom.exact import pw_linear_combine
-from stochdom.transforms import integrated_quantile
+from stochdom.transforms import CurveKind, integrated_curve
 from tests.conftest import symmetric_vs_zero
 
 SEED = 20260810
@@ -46,7 +46,7 @@ def test_criterion_01_jumpy_pair_reproduction(jumpy_pair):
     assert verdict.relation is Relation.LEFT_DOMINATED and verdict.strict
     assert raw_moment(x, 1) == 5
     assert raw_moment(y, 1) == rat(401, 100)
-    curve = integrated_quantile(x, 3).curve
+    curve = integrated_curve(x, CurveKind.QUANTILE, 3).curve
     assert _pieces(curve) == [
         (rat(0), rat(1, 2), ()),
         (rat(1, 2), rat(1), (rat(5, 4), rat(-5), rat(5))),  # 5 (p - 1/2)^2
@@ -60,7 +60,7 @@ def test_criterion_02_spread_vs_point_reproduction(spread_vs_point):
     verdict = isd_compare(x, y, 3)
     assert verdict.relation is Relation.LEFT_DOMINATED and verdict.strict
     assert raw_moment(x, 1) == 2 and raw_moment(y, 1) == rat(5, 2)
-    assert _pieces(integrated_quantile(y, 3).curve) == [
+    assert _pieces(integrated_curve(y, CurveKind.QUANTILE, 3).curve) == [
         (rat(0), rat(1), (rat(0), rat(0), rat(5, 4))),  # 1.25 p^2
     ]
     _line(2, "dominated side with the smaller mean, curve 5p^2/4 exact")
@@ -86,7 +86,7 @@ def test_criterion_04_crossing_triples_reproduction(crossing_triples):
     assert min_orderstat_mean(y, 3) == rat(421, 200)
     six_fy = [
         (lo, hi, tuple(6 * c for c in coeffs))
-        for lo, hi, coeffs in _pieces(integrated_quantile(y, 4).curve)
+        for lo, hi, coeffs in _pieces(integrated_curve(y, CurveKind.QUANTILE, 4).curve)
     ]
     # expansions of p^3, p^3 + 2(p-1/5)^3, p^3 + 2(p-1/5)^3 + 3(p-7/10)^3,
     # frozen from an independent symbolic expansion; the knot coefficient 3
@@ -106,7 +106,10 @@ def test_criterion_05_strong_pair_reproduction(strong_triples):
     assert min_orderstat_mean(x, 1) == min_orderstat_mean(y, 1) == rat(7, 2)
     assert min_orderstat_mean(x, 2) == min_orderstat_mean(y, 2) == rat(53, 20)
     gap = pw_linear_combine(
-        integrated_quantile(y, 3).curve, integrated_quantile(x, 3).curve, 1, -1
+        integrated_curve(y, CurveKind.QUANTILE, 3).curve,
+        integrated_curve(x, CurveKind.QUANTILE, 3).curve,
+        1,
+        -1,
     )
     shifted = gap.pieces[-1].poly.shift(rat(7, 10))  # t = p - 7/10
     assert shifted.coeffs == (rat(21, 800), rat(-7, 40), rat(7, 24))
@@ -185,7 +188,7 @@ def test_criterion_14_jump_counterexample(jumpy_pair):
     cum = {v: c for (v, _m), c in zip(x.atoms, x.cumulative_masses())}
     p = rat(3, 4)  # interior to the jump of the CDF at value 10
     atomwise = sum((v * m for v, m in x.atoms if cum[v] < p), rat(0))
-    exact = integrated_quantile(x, 2).curve(p)
+    exact = integrated_curve(x, CurveKind.QUANTILE, 2).curve(p)
     assert exact == rat(5, 2) and atomwise == 0
     assert atomwise != exact
     _line(14, "continuous-only representation provably fails across a jump")

@@ -1,17 +1,15 @@
-"""The integer difference curves against the rational reference: the
-pw_linear_combine of the two integrated curves."""
+"""The integer difference curves against an independent rational
+reference: the pw_linear_combine of the two curves built by recursive
+integration."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 
 from stochdom import Relation, dist_validate, isd_compare, quantile, rat, sd_compare
-from stochdom.dominance import _isd_difference, _sd_difference
-from stochdom.exact import Piece, PiecewisePolynomial, Polynomial, monomial_power, pw_linear_combine
+from stochdom.exact import Piece, PiecewisePolynomial, Polynomial, pw_linear_combine
 from stochdom.falsify import GenConfig, SplitMix64, _dominated_pair, _free_pair
-from stochdom.transforms import N_MAX, integrated_cdf, integrated_quantile
+from stochdom.transforms import N_MAX, CurveKind, difference_curve, integrated_curve_via_recursion
 
 
 def _sharing_atoms(x):
@@ -38,35 +36,32 @@ def _pairs():
 
 def _rational(curve):
     """The integer curve's pieces as rational polynomials num / den."""
-    return [
-        Piece(pc.lower, pc.upper, Polynomial.make(Fraction(c, pc.poly.den) for c in pc.poly.num))
-        for pc in curve.pieces
-    ]
+    return [Piece(pc.lower, pc.upper, pc.poly.as_rational()) for pc in curve.pieces]
 
 
-@pytest.mark.parametrize("kind", ["sd", "isd"])
+@pytest.mark.parametrize("kind", list(CurveKind), ids=lambda kind: kind.value)
 def test_integer_difference_matches_rational_reference(kind):
+    compare = {CurveKind.CDF: sd_compare, CurveKind.QUANTILE: isd_compare}.get(kind)
     coalesced = 0
     for x, y in _pairs():
         for n in range(1, N_MAX + 1):
-            if kind == "sd":
-                diff = _sd_difference(x, y, n)
-                ref = pw_linear_combine(integrated_cdf(x, n).curve, integrated_cdf(y, n).curve, 1, -1)
-            else:
-                diff = _isd_difference(x, y, n)
-                ref = pw_linear_combine(
-                    integrated_quantile(y, n).curve, integrated_quantile(x, n).curve, 1, -1
-                )
+            diff = difference_curve(x, y, kind, n)
+            ref = pw_linear_combine(
+                integrated_curve_via_recursion(x, kind, n).curve,
+                integrated_curve_via_recursion(y, kind, n).curve,
+                1,
+                -1,
+            )
             assert _rational(diff) == list(ref.pieces)
             assert diff.continuity_class == ref.continuity_class == n - 2
             assert len({pc.poly.den for pc in diff.pieces}) == 1
             if x == y:
                 assert diff.is_zero and len(diff.pieces) == 1
-                compare = sd_compare if kind == "sd" else isd_compare
-                assert compare(x, y, n).relation is Relation.EQUIVALENT
-            if kind == "sd":  # a zero piece left of the atoms, one right of each
+                if compare is not None:
+                    assert compare(x, y, n).relation is Relation.EQUIVALENT
+            if kind in (CurveKind.CDF, CurveKind.SURVIVAL):  # one piece per gap between atoms
                 uncoalesced = len(set(x.values) | set(y.values)) + 1
-            else:  # one piece right of each cut point below 1
+            else:  # one piece per gap between cut points
                 uncoalesced = len(set(quantile(x).cut_points) | set(quantile(y).cut_points)) - 1
             coalesced += x != y and len(diff.pieces) < uncoalesced
     assert coalesced  # shared atoms with equal mass leave no breakpoint
@@ -76,13 +71,13 @@ def test_continuity_check_rejects_a_corrupted_piece():
     x = dist_validate([(0, "1/4"), (1, "1/4"), (3, "1/2")])
     y = dist_validate([(rat(1, 2), "1/2"), (2, "1/2")])
     n = 4
-    pieces = list(_sd_difference(x, y, n).pieces)
+    pieces = list(difference_curve(x, y, CurveKind.CDF, n).pieces)
     last = pieces[-1]
-    rational = Polynomial.make(Fraction(c, last.poly.den) for c in last.poly.num)
+    rational = last.poly.as_rational()
     # the last piece has one breakpoint; (x - a)^(n-1) added there keeps
     # the curve C^(n-2), (x - a)^(n-2) breaks only its (n-2)-th derivative
     for power, smooth in ((n - 1, True), (n - 2, False)):
-        bent = rational + monomial_power(last.lower, power)
+        bent = rational + Polynomial.make([0] * power + [1]).shift(-last.lower)
         pieces[-1] = Piece(last.lower, last.upper, bent.as_int())
         if smooth:
             PiecewisePolynomial.make(pieces, n - 2)

@@ -25,7 +25,7 @@ from stochdom.exact import (
     pw_nonneg,
 )
 from stochdom.falsify import GenConfig, SplitMix64, _dominated_pair, _free_pair, _random_dist
-from stochdom.transforms import integrated_cdf, integrated_quantile
+from stochdom.transforms import CurveKind, integrated_curve
 from tests.conftest import symmetric_vs_zero
 
 
@@ -120,7 +120,10 @@ def test_witnesses_reproduce_gaps():
         n = 1 + rng.below(4)
         v = sd_compare(a, b, n)
         diff = pw_linear_combine(
-            integrated_cdf(a, n).curve, integrated_cdf(b, n).curve, 1, -1
+            integrated_curve(a, CurveKind.CDF, n).curve,
+            integrated_curve(b, CurveKind.CDF, n).curve,
+            1,
+            -1,
         )
         if v.witness_left is not None:
             assert diff(v.witness_left.point) == v.witness_left.gap > 0
@@ -130,7 +133,10 @@ def test_witnesses_reproduce_gaps():
             checked += 1
         vi = isd_compare(a, b, n)
         qdiff = pw_linear_combine(
-            integrated_quantile(b, n).curve, integrated_quantile(a, n).curve, 1, -1
+            integrated_curve(b, CurveKind.QUANTILE, n).curve,
+            integrated_curve(a, CurveKind.QUANTILE, n).curve,
+            1,
+            -1,
         )
         if vi.witness_left is not None:
             assert qdiff(vi.witness_left.point) == vi.witness_left.gap > 0
@@ -170,7 +176,10 @@ def test_strong_touchpoint_at_matched_top(strong_triples):
     with the matched second minimum order statistic."""
     x, y = strong_triples
     gap = pw_linear_combine(
-        integrated_quantile(y, 3).curve, integrated_quantile(x, 3).curve, 1, -1
+        integrated_curve(y, CurveKind.QUANTILE, 3).curve,
+        integrated_curve(x, CurveKind.QUANTILE, 3).curve,
+        1,
+        -1,
     )
     assert gap(1) == 0
 
@@ -236,12 +245,13 @@ def test_one_sweep_decide_matches_three_sweep_reference():
             y = x
         for a, b in ((x, y), (y, x)):
             for n in range(1, 7):
-                fa, fb = integrated_cdf(a, n).curve, integrated_cdf(b, n).curve
+                fa = integrated_curve(a, CurveKind.CDF, n).curve
+                fb = integrated_curve(b, CurveKind.CDF, n).curve
                 sd_diff = pw_linear_combine(fa, fb, 1, -1)
                 v = sd_compare(a, b, n)
                 assert v == _reference_decide(sd_diff, "sd", n, open_unit=False)
-                qa = integrated_quantile(a, n).curve
-                qb = integrated_quantile(b, n).curve
+                qa = integrated_curve(a, CurveKind.QUANTILE, n).curve
+                qb = integrated_curve(b, CurveKind.QUANTILE, n).curve
                 isd_diff = pw_linear_combine(qb, qa, 1, -1)
                 vi = isd_compare(a, b, n)
                 assert vi == _reference_decide(isd_diff, "isd", n, open_unit=True)

@@ -23,7 +23,6 @@ from stochdom.exact import (
     _refine_strictly_away,
     _sign_at,
     _taylor_at,
-    monomial_power,
     nonneg_on_interval,
     nonneg_on_left_ray,
     nonneg_on_ray,
@@ -500,7 +499,7 @@ def test_make_rejects_exactly_below_the_declared_class(k):
     x0 = rat(1, 3)
     left = P(rat(2, 5), -1, rat(7, 3), 0, 1)
     for j in range(k + 3):
-        right = left + monomial_power(x0, j).scale(rat(-3, 7))
+        right = left + P(*[0] * j, 1).shift(-x0).scale(rat(-3, 7))
         pieces = [Piece(rat(0), x0, left), Piece(x0, rat(1), right)]
         if j <= k:
             with pytest.raises(ValueError, match="disagree at breakpoint 1/3"):
@@ -517,6 +516,3 @@ def test_pw_equal_across_different_breakpoints():
     )
     assert pw_equal(one_piece, two_piece)
 
-
-def test_monomial_power():
-    assert monomial_power(rat(1, 2), 2).coeffs == (rat(1, 4), rat(-1), rat(1))

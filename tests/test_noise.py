@@ -149,9 +149,12 @@ def test_gap_tail_vanishes_under_matched_moments():
     cfg = GenConfig(seed=13)
     x, y = gen_moment_matched_pair(cfg, 2)
     from stochdom.exact import pw_linear_combine
-    from stochdom.transforms import integrated_cdf
+    from stochdom.transforms import CurveKind, integrated_curve
 
     diff = pw_linear_combine(
-        integrated_cdf(y, 3).curve, integrated_cdf(x, 3).curve, 1, -1
+        integrated_curve(y, CurveKind.CDF, 3).curve,
+        integrated_curve(x, CurveKind.CDF, 3).curve,
+        1,
+        -1,
     )
     assert diff.pieces[-1].poly.is_zero

@@ -24,6 +24,7 @@ from stochdom.exact import (
     NEG_INF,
     POS_INF,
     Piece,
+    PiecewisePolynomial,
     Polynomial,
     pw_equal,
     pw_linear_combine,
@@ -32,13 +33,10 @@ from stochdom.falsify import GenConfig, SplitMix64, _random_dist
 from stochdom.transforms import (
     AsymptoteSide,
     CurveKind,
+    N_MAX,
     asymptote,
-    integrated_cdf,
     integrated_curve,
     integrated_curve_via_recursion,
-    integrated_quantile,
-    integrated_survival,
-    integrated_upper_quantile,
     orderstat_expansion,
 )
 from tests.conftest import symmetric_vs_zero
@@ -54,40 +52,40 @@ def _coeff_rows(curve):
 
 
 def test_cdf_point_mass_order3():
-    curve = integrated_cdf(point_mass(0), 3).curve
+    curve = integrated_curve(point_mass(0), CurveKind.CDF, 3).curve
     assert curve(-1) == 0
     assert curve(2) == 2  # x^2/2
     assert curve.pieces[-1].poly.coeffs == (rat(0), rat(0), rat(1, 2))
 
 
 def test_cdf_two_pointer_order2(spread_vs_point):
-    assert integrated_cdf(spread_vs_point[0], 2).curve(3) == 1
+    assert integrated_curve(spread_vs_point[0], CurveKind.CDF, 2).curve(3) == 1
 
 
 def test_cdf_order1_boundaries(crossing_triples):
-    curve = integrated_cdf(crossing_triples[0], 1).curve
+    curve = integrated_curve(crossing_triples[0], CurveKind.CDF, 1).curve
     assert curve(-1) == 0
     assert curve(5) == 1 and curve(99) == 1
 
 
 def test_cdf_order_out_of_range(spread_vs_point):
     with pytest.raises(OrderOutOfRange):
-        integrated_cdf(spread_vs_point[0], 0)
+        integrated_curve(spread_vs_point[0], CurveKind.CDF, 0)
     with pytest.raises(OrderOutOfRange):
-        integrated_cdf(spread_vs_point[0], 13)
+        integrated_curve(spread_vs_point[0], CurveKind.CDF, 13)
 
 
 def test_survival_point_mass():
-    assert integrated_survival(point_mass(0), 2).curve(-1) == 1
+    assert integrated_curve(point_mass(0), CurveKind.SURVIVAL, 2).curve(-1) == 1
 
 
 def test_survival_jumpy(jumpy_pair):
-    assert integrated_survival(jumpy_pair[1], 2).curve(4) == rat(1, 100)
+    assert integrated_curve(jumpy_pair[1], CurveKind.SURVIVAL, 2).curve(4) == rat(1, 100)
 
 
 def test_survival_vanishes_beyond_support(crossing_triples):
     for n in (1, 2, 3, 4):
-        curve = integrated_survival(crossing_triples[0], n).curve
+        curve = integrated_curve(crossing_triples[0], CurveKind.SURVIVAL, n).curve
         assert curve(5) == 0 and curve(50) == 0
         assert curve.pieces[-1].poly.is_zero
 
@@ -99,11 +97,11 @@ def test_survival_vanishes_beyond_support(crossing_triples):
 
 def test_quantile_order3_jumpy(jumpy_pair):
     x, y = jumpy_pair
-    assert _coeff_rows(integrated_quantile(x, 3).curve) == [
+    assert _coeff_rows(integrated_curve(x, CurveKind.QUANTILE, 3).curve) == [
         (),
         (rat(5, 4), rat(-5), rat(5)),  # 5 (p - 1/2)^2
     ]
-    assert _coeff_rows(integrated_quantile(y, 3).curve) == [
+    assert _coeff_rows(integrated_curve(y, CurveKind.QUANTILE, 3).curve) == [
         (rat(0), rat(0), rat(2)),
         (rat(81, 2000), rat(-9, 100), rat(41, 20)),  # (p-9/10)^2/20 + 2 p^2
     ]
@@ -111,22 +109,26 @@ def test_quantile_order3_jumpy(jumpy_pair):
 
 def test_quantile_order3_spread_vs_point(spread_vs_point):
     x, y = spread_vs_point
-    assert _coeff_rows(integrated_quantile(x, 3).curve) == [
+    assert _coeff_rows(integrated_curve(x, CurveKind.QUANTILE, 3).curve) == [
         (rat(0), rat(0), rat(1, 2)),
         (rat(1, 4), rat(-1), rat(3, 2)),
     ]
-    assert _coeff_rows(integrated_quantile(y, 3).curve) == [(rat(0), rat(0), rat(5, 4))]
+    assert _coeff_rows(integrated_curve(y, CurveKind.QUANTILE, 3).curve) == [
+        (rat(0), rat(0), rat(5, 4))
+    ]
 
 
 def test_quantile_order4_crossing(crossing_triples):
     x, y = crossing_triples
-    six_x = [tuple(6 * c for c in row) for row in _coeff_rows(integrated_quantile(x, 4).curve)]
+    rows_x = _coeff_rows(integrated_curve(x, CurveKind.QUANTILE, 4).curve)
+    six_x = [tuple(6 * c for c in row) for row in rows_x]
     assert six_x == [
         (),
         (rat(-4, 125), rat(12, 25), rat(-12, 5), rat(4)),
         (rat(-3, 8), rat(39, 20), rat(-9, 2), rat(5)),
     ]
-    six_y = [tuple(6 * c for c in row) for row in _coeff_rows(integrated_quantile(y, 4).curve)]
+    rows_y = _coeff_rows(integrated_curve(y, CurveKind.QUANTILE, 4).curve)
+    six_y = [tuple(6 * c for c in row) for row in rows_y]
     assert six_y == [
         (rat(0), rat(0), rat(0), rat(1)),
         (rat(-2, 125), rat(6, 25), rat(-6, 5), rat(3)),
@@ -136,7 +138,7 @@ def test_quantile_order4_crossing(crossing_triples):
 
 def test_quantile_order3_strong_pair(strong_triples):
     _, y = strong_triples
-    assert _coeff_rows(integrated_quantile(y, 3).curve) == [
+    assert _coeff_rows(integrated_curve(y, CurveKind.QUANTILE, 3).curve) == [
         (rat(0), rat(0), rat(1, 2)),
         (rat(9, 200), rat(-9, 20), rat(13, 8)),
         (rat(37, 60), rat(-25, 12), rat(67, 24)),
@@ -145,43 +147,44 @@ def test_quantile_order3_strong_pair(strong_triples):
 
 def test_quantile_order4_symmetric():
     x, _ = symmetric_vs_zero(1)
-    curve = integrated_quantile(x, 4).curve
+    curve = integrated_curve(x, CurveKind.QUANTILE, 4).curve
     # -p^3/6 then (2 (p-1/2)^3 - p^3)/6
     assert curve(rat(1, 2)) == rat(-1, 48)
     assert curve(1) == (2 * rat(1, 8) - 1) / 6
 
 
 def test_quantile_point_mass_order2():
-    assert integrated_quantile(point_mass(7), 2).curve(rat(1, 3)) == rat(7, 3)
+    assert integrated_curve(point_mass(7), CurveKind.QUANTILE, 2).curve(rat(1, 3)) == rat(7, 3)
 
 
 def test_quantile_starts_at_zero(crossing_triples):
     for d in crossing_triples:
         for n in (2, 3, 4, 5):
-            assert integrated_quantile(d, n).curve(0) == 0
+            assert integrated_curve(d, CurveKind.QUANTILE, n).curve(0) == 0
 
 
 def test_upper_quantile_point_mass_order2():
-    curve = integrated_upper_quantile(point_mass(7), 2).curve
+    curve = integrated_curve(point_mass(7), CurveKind.UPPER_QUANTILE, 2).curve
     assert curve(rat(1, 4)) == 7 * rat(3, 4)  # c (1 - p)
 
 
 def test_upper_quantile_two_pointer(spread_vs_point):
-    assert integrated_upper_quantile(spread_vs_point[0], 2).curve(rat(1, 2)) == rat(3, 2)
+    curve = integrated_curve(spread_vs_point[0], CurveKind.UPPER_QUANTILE, 2).curve
+    assert curve(rat(1, 2)) == rat(3, 2)
 
 
 def test_upper_quantile_vanishes_at_one(crossing_triples):
     for d in crossing_triples:
         for n in (2, 3, 4):
-            assert integrated_upper_quantile(d, n).curve(1) == 0
+            assert integrated_curve(d, CurveKind.UPPER_QUANTILE, n).curve(1) == 0
 
 
 def test_endpoint_identities(crossing_triples, jumpy_pair):
     for d in (*crossing_triples, *jumpy_pair):
         for n in range(2, 7):
-            value = integrated_quantile(d, n).curve(1)
+            value = integrated_curve(d, CurveKind.QUANTILE, n).curve(1)
             assert math.factorial(n - 1) * value == min_orderstat_mean(d, n - 1)
-        assert integrated_upper_quantile(d, 2).curve(0) == raw_moment(d, 1)
+        assert integrated_curve(d, CurveKind.UPPER_QUANTILE, 2).curve(0) == raw_moment(d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +197,14 @@ def test_closed_form_equals_recursion():
     cfg = GenConfig(support_sizes=(1, 5))
     for _ in range(20):
         d = _random_dist(rng, cfg)
-        for n in range(1, 7):
+        for n in range(1, N_MAX + 1):
             for kind in CurveKind:
                 closed = integrated_curve(d, kind, n)
                 recursive = integrated_curve_via_recursion(d, kind, n)
                 assert closed.kind is recursive.kind is kind
                 assert pw_equal(closed.curve, recursive.curve)
+                # the rational pieces are C^(n-2) again, reflected kinds too
+                assert PiecewisePolynomial.make(closed.curve.pieces, n - 2) == closed.curve
 
 
 def test_order_one_curves_are_the_step_functions():
@@ -237,7 +242,7 @@ def test_cdf_matches_expectation_form_exactly():
     for _ in range(10):
         d = _random_dist(rng, cfg)
         n = 2 + rng.below(4)
-        curve = integrated_cdf(d, n).curve
+        curve = integrated_curve(d, CurveKind.CDF, n).curve
         fact = math.factorial(n - 1)
         for _ in range(10):
             x = rat(rng.randint(-40, 40), rng.randint(1, 8))
@@ -287,7 +292,7 @@ def test_quantile_matches_defining_integral_quadrature():
                     return vals[j]
             return vals[-1]
 
-        curve = integrated_quantile(d, n).curve
+        curve = integrated_curve(d, CurveKind.QUANTILE, n).curve
         fact = math.factorial(n - 2)
         for pnum in (1, 3, 7, 9, 10):
             p = rat(pnum, 10)
@@ -312,8 +317,8 @@ def test_quantile_matches_alternative_representation_quadrature():
     for _ in range(2):
         d = _random_dist(rng, cfg)
         n = 2 + rng.below(3)
-        curve = integrated_quantile(d, n).curve
-        cdf = integrated_cdf(d, 1).curve
+        curve = integrated_curve(d, CurveKind.QUANTILE, n).curve
+        cdf = integrated_curve(d, CurveKind.CDF, 1).curve
         breaks = [float(v) for v in d.values]
         consts = [0.0] + [float(c) for c in d.cumulative_masses()]
 
@@ -351,7 +356,7 @@ def test_jump_breaks_the_continuous_only_representation(jumpy_pair):
         (v * m for v, m in x.atoms if cum[v] < p),
         rat(0),
     )
-    true_value = integrated_quantile(x, 2).curve(p)
+    true_value = integrated_curve(x, CurveKind.QUANTILE, 2).curve(p)
     assert true_value == rat(5, 2)
     assert atomwise == 0
     assert atomwise != true_value
@@ -388,13 +393,13 @@ def test_asymptote_exact_beyond_support():
     for _ in range(20):
         d = _random_dist(rng, cfg)
         for n in range(2, 7):
-            tail = integrated_cdf(d, n).curve.pieces[-1].poly
+            tail = integrated_curve(d, CurveKind.CDF, n).curve.pieces[-1].poly
             assert tail.coeffs == asymptote(d, n).poly.coeffs
 
 
 def test_left_tail_is_zero(crossing_triples):
     for n in range(1, 6):
-        curve = integrated_cdf(crossing_triples[0], n).curve
+        curve = integrated_curve(crossing_triples[0], CurveKind.CDF, n).curve
         assert curve.pieces[0].poly.is_zero
 
 
@@ -421,8 +426,8 @@ def test_lower_minus_upper_combination_midpoint(spread_vs_point):
     value of integrating the step quantile against (1/2 - u)."""
     x, _ = spread_vs_point
     combo = pw_linear_combine(
-        integrated_quantile(x, 3).curve,
-        integrated_upper_quantile(x, 3).curve,
+        integrated_curve(x, CurveKind.QUANTILE, 3).curve,
+        integrated_curve(x, CurveKind.UPPER_QUANTILE, 3).curve,
         1,
         -1,
     )
@@ -434,7 +439,7 @@ def test_step_quantile_antiderivative_reaches_mean(spread_vs_point):
     from stochdom.exact import pw_antiderivative
 
     x, _ = spread_vs_point
-    step = integrated_quantile(x, 1).curve
+    step = integrated_curve(x, CurveKind.QUANTILE, 1).curve
     integral = pw_antiderivative(step, from_left=True)
     assert integral(1) == raw_moment(x, 1) == 2
     assert integral.continuity_class == 0
@@ -447,7 +452,7 @@ def test_expansion_identity_against_curves():
         d = _random_dist(rng, cfg)
         for n in (3, 4, 5):
             p = rat(rng.randint(0, 9), 10)
-            lower = integrated_quantile(d, n).curve(p)
-            upper = integrated_upper_quantile(d, n).curve(p)
+            lower = integrated_curve(d, CurveKind.QUANTILE, n).curve(p)
+            upper = integrated_curve(d, CurveKind.UPPER_QUANTILE, n).curve(p)
             expected = lower - upper if n % 2 == 1 else lower + upper
             assert orderstat_expansion(d, n, p) == expected
