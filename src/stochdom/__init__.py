@@ -15,6 +15,7 @@ from .distributions import (
     convolve,
     dist_validate,
     min_orderstat_mean,
+    min_orderstat_means,
     point_mass,
     quantile,
     raw_moment,

@@ -16,7 +16,7 @@ import json
 import sys
 
 from ._scalar import rat_str
-from .distributions import min_orderstat_mean, raw_moment
+from .distributions import min_orderstat_means, raw_moment
 from .dominance import (
     OrderStatCheck,
     Relation,
@@ -31,13 +31,13 @@ from .falsify import GenConfig, PropertySuiteReport, registered_suites, run_prop
 from .fileio import curve_sample_csv, export_curve, load_distribution
 from .filters import FilterReport, isd_orderstat_filter, sd_moment_filter
 from .noise import NoiseSearchReport, SearchBudget, SearchStatus, noise_search
-from .transforms import CurveKind, asymptote, integrated_curve
+from .transforms import N_MAX, CurveKind, asymptote, integrated_curve
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``, so a count
-    out of range is a usage error (exit 2) instead of a crash or an empty
-    answer."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an integer in [minimum, maximum], so a count out of
+    range is a usage error (exit 2) instead of a crash, an empty answer or
+    unbounded work."""
 
     def parse(text: str) -> int:
         try:
@@ -45,9 +45,9 @@ def _at_least(minimum: int):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}"
-            )
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("moments", help="raw moments and expected minimum order statistics")
-    p.add_argument("--upto", type=_at_least(1), required=True)
+    p.add_argument("--upto", type=_count(1, N_MAX + 1), required=True)
     p.add_argument("dist")
 
     p = sub.add_parser("transform", help="emit an integrated curve's exact pieces")
@@ -212,22 +212,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise-search", help="search for dominance-creating noise")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--relation", choices=("sd", "isd"), default="sd")
-    p.add_argument("--max-candidates", type=_at_least(1), default=64)
-    p.add_argument("--support-cap", type=_at_least(1), default=10**6)
-    p.add_argument("--spread", type=_at_least(1), default=1)
+    p.add_argument("--max-candidates", type=_count(1), default=64)
+    p.add_argument("--support-cap", type=_count(1), default=10**6)
+    p.add_argument("--spread", type=_count(1), default=1)
     p.add_argument("left")
     p.add_argument("right")
 
     p = sub.add_parser("falsify", help="run a registered property suite")
     p.add_argument("--suite", required=True, help=", ".join(registered_suites()))
-    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--trials", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--denominator-cap", type=_at_least(1), default=12)
+    p.add_argument("--denominator-cap", type=_count(1), default=12)
 
     p = sub.add_parser("export-curve", help="sample a curve on a rational grid")
     p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--grid", type=_at_least(2), default=33)
+    p.add_argument("--grid", type=_count(2), default=33)
     p.add_argument("--csv-out", default=None)
     p.add_argument("dist")
 
@@ -268,8 +268,8 @@ def _dispatch(args) -> int:
         result: dict = {}
         for k in range(1, args.upto + 1):
             result[f"moment_{k}"] = rat_str(raw_moment(d, k))
-        for k in range(1, args.upto + 1):
-            result[f"mu_1_{k}"] = rat_str(min_orderstat_mean(d, k))
+        for k, mu in enumerate(min_orderstat_means(d, args.upto), 1):
+            result[f"mu_1_{k}"] = rat_str(mu)
         _emit("moments", {"dist": args.dist, "upto": args.upto}, result)
         return 0
 

@@ -8,12 +8,14 @@ rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from ._scalar import Rat, ZERO, ONE, rat
-from .errors import EmptySupport, MassNotOne, NegativeMass, SupportCapExceeded
+from .errors import EmptySupport, MassNotOne, NegativeMass, OrderOutOfRange, SupportCapExceeded
 
 CONVOLVE_CAP = 10**6
 
@@ -83,7 +85,7 @@ def point_mass(value) -> DiscreteDistribution:
 def raw_moment(d: DiscreteDistribution, j: int) -> Rat:
     """E[X^j], exactly."""
     if j < 0:
-        raise ValueError("moment index must be nonnegative")
+        raise OrderOutOfRange(f"moment index {j} must be nonnegative")
     if j == 0:
         return ONE
     return sum((m * v**j for v, m in d.atoms), ZERO)
@@ -124,22 +126,32 @@ def quantile(d: DiscreteDistribution) -> QuantileStep:
     return QuantileStep(tuple(cuts), d.values)
 
 
-def min_orderstat_mean(d: DiscreteDistribution, k: int) -> Rat:
-    """Expected minimum of k independent draws, via survival powers.
-
-    With S_i the survival just above the i-th support point, the minimum
-    lands on x_i with probability S_{i-1}^k - S_i^k.
+def min_orderstat_means(d: DiscreteDistribution, top: int) -> tuple:
+    """(mu_{1:1}, ..., mu_{1:top}), the expected minima of j independent
+    draws, in one pass on integers: mu_{1:j} = x_1 + sum_i (x_{i+1} - x_i)
+    S_i**j with S_i the survival just above x_i.  Over the least common
+    denominators D of the values and W of the masses, x_i = X_i / D and
+    S_i = R_i / W, and D W**j mu_{1:j} = X_1 W**j + sum_i (X_{i+1} - X_i) R_i**j.
     """
-    if k < 1:
-        raise ValueError("order statistic index must be positive")
-    cum = d.cumulative_masses()
-    total = ZERO
-    s_prev = ONE
-    for i, (v, _) in enumerate(d.atoms):
-        s_i = ONE - cum[i]
-        total = total + v * (s_prev**k - s_i**k)
-        s_prev = s_i
-    return total
+    if top < 1:
+        raise OrderOutOfRange(f"order statistic index {top} must be positive")
+    unit = math.lcm(*(v.denominator for v, _ in d.atoms))
+    wunit = math.lcm(*(m.denominator for _, m in d.atoms))
+    xs = [v.numerator * (unit // v.denominator) for v, _ in d.atoms]
+    gaps = [b - a for a, b in zip(xs, xs[1:])]
+    ws = [m.numerator * (wunit // m.denominator) for _, m in d.atoms[:-1]]
+    surv = [wunit - c for c in accumulate(ws)]
+    out, powers, wj = [], surv, wunit
+    for _ in range(top):
+        out.append(Rat(xs[0] * wj + sum(g * r for g, r in zip(gaps, powers)), unit * wj))
+        powers = [r * s for r, s in zip(powers, surv)]
+        wj *= wunit
+    return tuple(out)
+
+
+def min_orderstat_mean(d: DiscreteDistribution, k: int) -> Rat:
+    """Expected minimum of k independent draws; see min_orderstat_means."""
+    return min_orderstat_means(d, k)[-1]
 
 
 def convolve(

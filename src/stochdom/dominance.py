@@ -40,7 +40,7 @@ from enum import Enum
 from typing import Optional
 
 from ._scalar import Rat, rat
-from .distributions import DiscreteDistribution, min_orderstat_mean
+from .distributions import DiscreteDistribution, min_orderstat_means
 from .errors import OrderOutOfRange
 from .exact import Piece, PiecewisePolynomial, _piece_sign, pw_nonneg
 from .transforms import CurveKind, difference_curve
@@ -167,10 +167,8 @@ def strong_isd_compare(
     if n < 2:
         raise OrderOutOfRange("strong n-ISD needs order >= 2")
     base = isd_compare(x, y, n)
-    checks = []
-    for j in range(1, n):
-        mx, my = min_orderstat_mean(x, j), min_orderstat_mean(y, j)
-        checks.append(OrderStatCheck(j, mx, my, mx == my))
+    mus = zip(min_orderstat_means(x, n - 1), min_orderstat_means(y, n - 1))
+    checks = [OrderStatCheck(j, mx, my, mx == my) for j, (mx, my) in enumerate(mus, 1)]
     # a failed equality turns a dominance into Incomparable; the witnesses
     # stay the base's, where _decide already left the missing side None
     dominated = base.relation in (Relation.LEFT_DOMINATED, Relation.RIGHT_DOMINATED)

@@ -11,12 +11,12 @@ Conventions
 * Sign decisions are exact and run on Python ints: signs do not change
   under positive scaling, so each polynomial is decided through its
   primitive integer multiple.  A rational point a/b enters as
-  b**d * p(a/b) (homogeneous Horner) or as an integer Taylor shift; the
-  square-free part and the Sturm chain come from sign-preserving integer
-  pseudo-remainders.  The real roots are isolated with Sturm sequences
-  and signs are sampled at rational points separating them.  Roots of
-  even multiplicity never falsify nonnegativity; rational zeros that are
-  located exactly are reported as touch points.
+  b**d * p(a/b) (homogeneous Horner) or as an integer Taylor shift.  When
+  (1 + t)**d * p((lo + hi t) / (1 + t)) has no sign variation, p has no
+  root in (lo, hi) (interval Descartes); otherwise bisection on that count
+  isolates the roots of the square-free part, and signs are sampled at
+  rational points between them.  Roots of even multiplicity never falsify
+  nonnegativity; rational zeros located exactly are touch points.
 * The sign kernel takes an :class:`IntPolynomial`, integer coefficients
   over a positive denominator; a :class:`Polynomial` is converted once
   on the way in.  ``pw_integrated_measure`` is the one curve builder:
@@ -329,27 +329,6 @@ def _deflate(cs: tuple, root) -> tuple:
     return _exquo(cs, (-a, b))
 
 
-def _sturm_chain(g: tuple) -> list[tuple]:
-    chain = [g, _primitive_int(_deriv(g))]
-    while chain[-1]:
-        r = _prem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(tuple(-c for c in _primitive_int(r)))
-    return [c for c in chain if c]
-
-
-def _variations_at(chain: list[tuple], x) -> int:
-    count = last = 0
-    for cs in chain:
-        s = _sign_at(cs, x)
-        if s:
-            if last and s != last:
-                count += 1
-            last = s
-    return count
-
-
 def _simplest_between(x, y) -> Rat:
     """The smallest-denominator rational strictly inside the open (x, y)."""
     n = rat_floor(x) + 1
@@ -362,24 +341,38 @@ def _simplest_between(x, y) -> Rat:
     return f + 1 / _simplest_between(1 / b, 1 / a)
 
 
-def _count_roots_open(chain: list[tuple], a, b) -> int:
-    return _variations_at(chain, a) - _variations_at(chain, b)
+def _descartes(taylor: list, lo, hi) -> int:
+    """Sign variations of q(t) = (1 + t)**d * p((lo + hi t) / (1 + t)) from
+    the r_j of ``taylor = _taylor_at(p, lo, d + 1)``: by Descartes' rule, at
+    least the number of roots of p in the open (lo, hi), with the same parity.
+
+    For lo = a/b and b (hi - lo) = e/f, sum r_j e**j f**(d-j) u**j is a
+    positive multiple of p(lo + u (hi - lo)); reversed and shifted by 1 it
+    is a positive multiple of q.
+    """
+    if min(taylor) >= 0:
+        return 0  # then q has no negative coefficient either
+    d = len(taylor) - 1
+    e, f = (lo.denominator * (hi - lo)).as_integer_ratio()
+    q = [r * e ** (d - i) * f**i for i, r in enumerate(reversed(taylor))]
+    signs = [c > 0 for c in _taylor_at(q, 1, d + 1) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _isolate_roots(g: tuple, lo, hi) -> list:
-    """Locate the distinct real roots of square-free g in the open (lo, hi).
+    """Locate the distinct real roots of square-free g in the open (lo, hi)
+    by interval Descartes bisection.
 
     Preconditions: g(lo) != 0 and g(hi) != 0.  Returns a sorted list of
     ('exact', r) and ('interval', a, b) entries; intervals hold exactly
     one simple root, have non-root endpoints of opposite sign, and are
     pairwise disjoint from each other and from the exact roots.
     """
-    chain = _sturm_chain(g)
     out: list = []
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        n = _count_roots_open(chain, a, b)
+        n = _descartes(_taylor_at(g, a, len(g)), a, b)
         if n == 0:
             continue
         if n == 1:
@@ -522,12 +515,8 @@ def nonneg_on_interval(p, lo, hi) -> SignReport:
         if s == 0:
             touch.add(pt)
     deg = len(ip) - 1
-    if deg == 0:
-        return _nonnegative(())
-    if deg == 1:
-        root = rat(-ip[0], ip[1])
-        if lo <= root <= hi:
-            touch.add(root)
+    if deg <= 1:
+        # a constant or a line nonnegative at both ends: no other zero
         return _nonnegative(touch)
     if deg == 2:
         vertex = rat(-ip[1], 2 * ip[2])
@@ -546,16 +535,15 @@ def nonneg_on_interval(p, lo, hi) -> SignReport:
             return _negative(pt, p(pt))
         if s == 0:
             touch.add(pt)
-    if all(c >= 0 for c in _taylor_at(ip, lo, len(ip))):
-        # every coefficient of p(lo + t) nonnegative: p >= 0 for t >= 0,
-        # with no zero beyond t = 0
+    if _descartes(_taylor_at(ip, lo, len(ip)), lo, hi) == 0:
+        # no root in (lo, hi), and the midpoint was screened
         return _nonnegative(touch)
     return _nonneg_by_isolation(p, ip, lo, hi, touch)
 
 
 def _nonneg_by_isolation(p: IntPolynomial, ip: tuple, lo, hi, touch: set) -> SignReport:
-    """The isolation path of nonneg_on_interval; ``ip`` is the primitive
-    form of ``p.num``."""
+    """The isolation path of nonneg_on_interval, for a positive Descartes
+    count on (lo, hi); ``ip`` is the primitive form of ``p.num``."""
     g = _square_free(ip)
     while _sign_at(g, lo) == 0:
         g = _deflate(g, lo)

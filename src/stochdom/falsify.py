@@ -31,6 +31,7 @@ from .distributions import (
     convolve,
     dist_validate,
     min_orderstat_mean,
+    min_orderstat_means,
     quantile,
     raw_moment,
 )
@@ -286,7 +287,7 @@ def gen_orderstat_matched_pair(
             [surv[i] ** j - surv[i + 1] ** j for i in range(m)]
             for j in range(1, match_up_to + 1)
         ]
-        targets = [min_orderstat_mean(x, j) for j in range(1, match_up_to + 1)]
+        targets = list(min_orderstat_means(x, match_up_to))
         _, basis = _solve_affine(rows, targets)
         if not basis:
             continue
@@ -508,8 +509,8 @@ def _suite_isd_orderstat(trials: int, cfg: GenConfig) -> PropertySuiteReport:
             continue
         run.bump("ordered")
         snap = _pair_snapshot(dominated, dominator)
-        mu_d = {k: min_orderstat_mean(dominated, k) for k in range(1, n + 4)}
-        mu_o = {k: min_orderstat_mean(dominator, k) for k in range(1, n + 4)}
+        mu_d = dict(enumerate(min_orderstat_means(dominated, n + 3), 1))
+        mu_o = dict(enumerate(min_orderstat_means(dominator, n + 3), 1))
         for k in range(n - 1, n + 4):
             if mu_d[k] > mu_o[k]:
                 run.violate(

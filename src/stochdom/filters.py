@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._scalar import Rat
-from .distributions import DiscreteDistribution, min_orderstat_mean, raw_moment
+from .distributions import DiscreteDistribution, min_orderstat_means, raw_moment
 from .dominance import Relation, isd_compare, sd_compare
 from .errors import OrderOutOfRange
 from .transforms import N_MAX
@@ -129,8 +129,8 @@ def isd_orderstat_filter(
     """
     if not 3 <= n <= N_MAX:
         raise OrderOutOfRange(f"order {n} outside [3, {N_MAX}]")
-    mu_x = {k: min_orderstat_mean(x, k) for k in range(1, n + 2)}
-    mu_y = {k: min_orderstat_mean(y, k) for k in range(1, n + 2)}
+    mu_x = dict(enumerate(min_orderstat_means(x, n + 1), 1))
+    mu_y = dict(enumerate(min_orderstat_means(y, n + 1), 1))
     identical = x.atoms == y.atoms
     checks: list[FilterCheck] = []
     refuted = False

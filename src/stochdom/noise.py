@@ -36,7 +36,7 @@ from ._scalar import Rat, ZERO, rat
 from .distributions import (
     DiscreteDistribution,
     convolve,
-    min_orderstat_mean,
+    min_orderstat_means,
     raw_moment,
 )
 from .dominance import Relation, Verdict, isd_compare, sd_compare
@@ -105,9 +105,10 @@ def _isd_precondition(
     order-statistic filter)."""
     if not 1 <= n <= N_MAX:
         raise OrderOutOfRange(f"order {n} outside [1, {N_MAX}]")
-    gamma = min_orderstat_mean(y, n) - min_orderstat_mean(x, n)
+    mu_x, mu_y = min_orderstat_means(x, n), min_orderstat_means(y, n)
+    gamma = mu_y[-1] - mu_x[-1]
     for k in range(1, n):
-        if min_orderstat_mean(x, k) != min_orderstat_mean(y, k):
+        if mu_x[k - 1] != mu_y[k - 1]:
             return PreconditionReport(False, gamma, k)
     if not gamma > 0:
         return PreconditionReport(False, gamma, n)

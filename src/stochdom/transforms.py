@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ._scalar import Rat, ZERO, ONE, rat
-from .distributions import DiscreteDistribution, min_orderstat_mean, quantile, raw_moment
+from .distributions import DiscreteDistribution, min_orderstat_means, quantile, raw_moment
 from .errors import OrderOutOfRange
 from .exact import (
     NEG_INF,
@@ -198,12 +198,8 @@ def orderstat_expansion(d: DiscreteDistribution, n: int, p) -> Rat:
         raise ValueError("the expansion point must satisfy p < 1")
     one_minus = ONE - p
     total = ZERO
-    for j in range(1, n):
-        term = (
-            math.comb(n - 1, j)
-            * one_minus ** (n - 1 - j)
-            * min_orderstat_mean(d, j)
-        )
+    for j, mu in enumerate(min_orderstat_means(d, n - 1), 1):
+        term = math.comb(n - 1, j) * one_minus ** (n - 1 - j) * mu
         total = total + (term if j % 2 == 0 else -term)
     total = total * _inv_factorial(n - 1)
     return total if n % 2 == 1 else -total

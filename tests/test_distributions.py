@@ -10,12 +10,19 @@ from stochdom import (
     convolve,
     dist_validate,
     min_orderstat_mean,
+    min_orderstat_means,
     point_mass,
     quantile,
     rat,
     raw_moment,
 )
-from stochdom.errors import EmptySupport, MassNotOne, NegativeMass, SupportCapExceeded
+from stochdom.errors import (
+    EmptySupport,
+    MassNotOne,
+    NegativeMass,
+    OrderOutOfRange,
+    SupportCapExceeded,
+)
 from stochdom.falsify import GenConfig, SplitMix64, _brute_min_orderstat, _random_dist
 
 
@@ -94,8 +101,22 @@ def test_min_orderstat_matches_brute_force():
     cfg = GenConfig(support_sizes=(1, 5), denominator_cap=8)
     for t in range(25):
         d = _random_dist(rng, cfg)
-        for k in range(1, 7):
-            assert min_orderstat_mean(d, k) == _brute_min_orderstat(d, k)
+        brute = tuple(_brute_min_orderstat(d, k) for k in range(1, 7))
+        assert tuple(min_orderstat_mean(d, k) for k in range(1, 7)) == brute
+        assert min_orderstat_means(d, 6) == brute
+
+
+def test_raw_moment_rejects_negative_index(crossing_triples):
+    with pytest.raises(OrderOutOfRange):
+        raw_moment(crossing_triples[0], -1)
+
+
+def test_min_orderstat_rejects_index_below_one(crossing_triples):
+    for bad in (0, -2):
+        with pytest.raises(OrderOutOfRange):
+            min_orderstat_mean(crossing_triples[0], bad)
+        with pytest.raises(OrderOutOfRange):
+            min_orderstat_means(crossing_triples[0], bad)
 
 
 def test_min_orderstat_nonincreasing_in_k():

@@ -15,6 +15,7 @@ from stochdom.exact import (
     PiecewisePolynomial,
     Polynomial,
     SignVerdict,
+    _descartes,
     _peval,
     _prem,
     _primitive_int,
@@ -364,34 +365,53 @@ def test_refine_away_from_deflated_midpoint_root():
 
 
 def _oracle_cases():
-    """Tangencies, irrational pairs and root clusters a hair from an edge."""
+    """Tangencies, irrational pairs and root clusters a hair from an edge;
+    then double roots and root clusters strictly inside, and
+    (x - c)^2 + tiny near the interval, which has no real root but two
+    Descartes variations, so the bisection must run."""
     rng = SplitMix64(20261017)
-    for i in range(40):
+    for i in range(70):
         lo = rat(rng.randint(-8, 4), rng.randint(1, 4))
         hi = lo + rat(rng.randint(1, 12), rng.randint(1, 4))
         inside = lo + (hi - lo) * rat(rng.randint(1, 19), 20)
         tiny = rat(1, 10 ** rng.randint(2, 9))
-        kind = i % 4
+        kind = i % 4 if i < 40 else 4 + i % 3
         if kind == 0:  # a double rational root inside
             core = P(-inside, 1) * P(-inside, 1)
         elif kind == 1:  # x^2 - c twice, or next to x^2 - (c + tiny)
             c = inside * inside + tiny
             core = P(-c, 0, 1) * P(-c - tiny * rng.below(2), 0, 1)
-        else:  # two roots a hair from lo or hi, on either side of it
+        elif kind <= 3:  # two roots a hair from lo or hi, on either side of it
             edge = lo if kind == 2 else hi
             r = edge + (1 - 2 * rng.below(2)) * tiny
             core = P(-r, 1) * P(-r - (rng.below(3) - 1) * tiny, 1)
+        elif kind == 4:  # two double roots inside, one rational, one not
+            c = inside * inside + tiny
+            core = P(-inside, 1) * P(-inside, 1) * P(-c, 0, 1) * P(-c, 0, 1)
+        elif kind == 5:  # a cluster of two to four roots inside, some double
+            core = P(1)
+            for k in range(rng.randint(2, 4)):
+                r = inside + k * tiny
+                core = core * P(-r, 1) * (P(-r, 1) if rng.below(2) else P(1))
+        else:  # (x - c)^2 + tiny with c inside or a hair outside
+            c = inside if rng.below(2) else lo - tiny
+            core = P(c * c + tiny, -2 * c, 1)
         a = lo + (hi - lo) * rat(rng.randint(0, 20), 20)
         p = core * P(a * a + rat(1, rng.randint(1, 50)), -2 * a, 1)
         yield (p.scale(-1) if i % 5 == 4 else p), lo, hi
 
 
-def test_nonneg_matches_sympy_real_roots():
+def _sympy_roots(p, lo, hi):
+    """sympy's exact real roots of p in [lo, hi], with multiplicity."""
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
+    roots = sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="QQ"))
+    return [r for r in roots if bool(lo <= r) and bool(r <= hi)]
+
+
+def test_nonneg_matches_sympy_real_roots():
     verdicts = []
     for p, lo, hi in _oracle_cases():
-        roots = sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), x, domain="QQ"))
+        roots = _sympy_roots(p, lo, hi)
         odd_inside = any(
             roots.count(r) % 2 and bool(lo < r) and bool(r < hi) for r in set(roots)
         )
@@ -402,8 +422,35 @@ def test_nonneg_matches_sympy_real_roots():
         assert rep.nonnegative == expected, (p.coeffs, lo, hi)
         if not rep.nonnegative:
             assert lo <= rep.witness <= hi and p(rep.witness) == rep.witness_value < 0
+        else:
+            # touch points are exact roots; the 48 Stern-Brocot probes of
+            # _rationalize pin each rational root of modest denominator
+            # (not, say, 20001/10000 in (2, 8/3): each probe there only
+            # steps from 2 + 1/k to 2 + 1/(k + 1))
+            rational = {rat(int(r.p), int(r.q)) for r in roots if r.is_Rational}
+            assert set(rep.touch_points) <= rational, (p.coeffs, lo, hi)
+            assert {r for r in rational if r.denominator <= 1000} <= set(rep.touch_points)
         verdicts.append(expected)
-    assert 10 <= sum(verdicts) <= 30
+    assert len(verdicts) / 4 <= sum(verdicts) <= 3 * len(verdicts) / 4
+
+
+def test_descartes_count_bounds_the_roots():
+    """The interval Descartes count is at least sympy's root count in
+    (lo, hi), of the same parity, and 0 when every Taylor coefficient at
+    lo is nonnegative; some cases need the bisection (count > roots)."""
+    excess = 0
+    cases = list(_oracle_cases())
+    cases += [(p, lo, lo + 1 + rat(1, 3)) for p, _, pts in _kernel_cases() for lo in pts[:2]]
+    for p, lo, hi in cases:
+        ip = _primitive_int(p.as_int().num)
+        taylor = _taylor_at(ip, lo, len(ip))
+        count = _descartes(taylor, lo, hi)
+        inside = sum(1 for r in _sympy_roots(p, lo, hi) if bool(lo < r) and bool(r < hi))
+        assert count >= inside and (count - inside) % 2 == 0, (p.coeffs, lo, hi)
+        if all(c >= 0 for c in taylor):
+            assert count == 0
+        excess += count > inside
+    assert excess >= 10
 
 
 # ---------------------------------------------------------------------------

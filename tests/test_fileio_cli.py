@@ -208,6 +208,12 @@ def test_cli_moments(files, capsys):
     assert doc["result"]["mu_1_3"] == "83/40"
 
 
+def test_cli_moments_upto_the_bound(files, capsys):
+    assert run_cli(["moments", "--upto", "13", files["x34"]]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert len(result) == 26 and "mu_1_13" in result and "moment_13" in result
+
+
 def test_cli_transform(files, capsys):
     code = run_cli(["transform", "--kind", "quantile", "--order", "3", files["x31"]])
     doc = json.loads(capsys.readouterr().out)
@@ -287,6 +293,7 @@ def test_cli_usage_error(capsys):
         ["noise-search", "--order", "2", "--support-cap", "0", "{x}", "{y}"],
         ["noise-search", "--order", "2", "--spread", "0", "{x}", "{y}"],
         ["moments", "--upto", "two", "{x}"],
+        ["moments", "--upto", "14", "{x}"],
     ],
 )
 def test_cli_rejects_out_of_range_counts(args, files, capsys):
