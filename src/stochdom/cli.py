@@ -6,32 +6,32 @@ the command succeeded and, for ``compare``, the first distribution is
 dominated by the second in the queried relation (for ``noise-search``,
 a noise variable was found; for ``falsify``, no violations); 1 means
 the command completed with a negative or inconclusive answer; 2 means
-a usage or input error, reported on stderr.
+a usage or input error, reported on stderr; 3 means stdout was closed
+before the document was written out (``stochdom ... | head``).
+
+Each command imports the modules it runs when it runs, so a ``moments``
+call never loads the noise search and a ``falsify`` run loads only its
+suite's own dependencies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import TYPE_CHECKING
 
 from ._scalar import rat_str
-from .distributions import min_orderstat_means, raw_moment
-from .dominance import (
-    OrderStatCheck,
-    Relation,
-    Verdict,
-    isd_compare,
-    sd_compare,
-    strong_isd_compare,
-)
 from .errors import StochdomError
-from .exact import NEG_INF, POS_INF, PieceSignDigest
-from .falsify import GenConfig, PropertySuiteReport, registered_suites, run_property_suite
-from .fileio import curve_sample_csv, export_curve, load_distribution
-from .filters import FilterReport, isd_orderstat_filter, sd_moment_filter
-from .noise import NoiseSearchReport, SearchBudget, SearchStatus, noise_search
-from .transforms import N_MAX, CurveKind, asymptote, integrated_curve
+
+if TYPE_CHECKING:
+    from .dominance import Verdict
+    from .falsify import PropertySuiteReport
+    from .filters import FilterReport
+    from .noise import NoiseSearchReport
+
+EXIT_CLOSED_STDOUT = 3
 
 
 def _count(minimum: int, maximum: int | None = None):
@@ -54,6 +54,8 @@ def _count(minimum: int, maximum: int | None = None):
 
 
 def _bound_json(b):
+    from .exact import NEG_INF, POS_INF
+
     if b == NEG_INF:
         return "-inf"
     if b == POS_INF:
@@ -62,6 +64,9 @@ def _bound_json(b):
 
 
 def _certificate_json(certificate) -> list:
+    from .dominance import OrderStatCheck
+    from .exact import PieceSignDigest
+
     out = []
     for entry in certificate:
         if isinstance(entry, PieceSignDigest):
@@ -176,66 +181,84 @@ def _emit(command: str, inputs: dict, result: dict, diagnostics: dict | None = N
     print(json.dumps(doc, indent=2))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The CLI parser.  Only ``command``'s subparser gets its arguments:
+    argparse reads no other, and some need a module to define (the curve
+    kinds, N_MAX, the suite names) that ``command`` may never load."""
     parser = argparse.ArgumentParser(
         prog="stochdom",
         description="Exact higher-order (inverse) stochastic dominance checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", help="decide a dominance relation between two files")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument(
-        "--relation", choices=("sd", "isd", "strong-isd"), default="sd"
-    )
-    p.add_argument("left")
-    p.add_argument("right")
+    def subparser(name: str, help_text: str):
+        p = sub.add_parser(name, help=help_text)
+        return p if name == command else None
 
-    p = sub.add_parser("moments", help="raw moments and expected minimum order statistics")
-    p.add_argument("--upto", type=_count(1, N_MAX + 1), required=True)
-    p.add_argument("dist")
+    if p := subparser("compare", "decide a dominance relation between two files"):
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument(
+            "--relation", choices=("sd", "isd", "strong-isd"), default="sd"
+        )
+        p.add_argument("left")
+        p.add_argument("right")
 
-    p = sub.add_parser("transform", help="emit an integrated curve's exact pieces")
-    p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("dist")
+    if p := subparser("moments", "raw moments and expected minimum order statistics"):
+        from .transforms import N_MAX
 
-    p = sub.add_parser("asymptote", help="moment polynomial matching the curve tail")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("dist")
+        p.add_argument("--upto", type=_count(1, N_MAX + 1), required=True)
+        p.add_argument("dist")
 
-    p = sub.add_parser("filter", help="run the necessary-condition prefilters only")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("left")
-    p.add_argument("right")
+    if p := subparser("transform", "emit an integrated curve's exact pieces"):
+        from .transforms import CurveKind
 
-    p = sub.add_parser("noise-search", help="search for dominance-creating noise")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--relation", choices=("sd", "isd"), default="sd")
-    p.add_argument("--max-candidates", type=_count(1), default=64)
-    p.add_argument("--support-cap", type=_count(1), default=10**6)
-    p.add_argument("--spread", type=_count(1), default=1)
-    p.add_argument("left")
-    p.add_argument("right")
+        p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("dist")
 
-    p = sub.add_parser("falsify", help="run a registered property suite")
-    p.add_argument("--suite", required=True, help=", ".join(registered_suites()))
-    p.add_argument("--trials", type=_count(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--denominator-cap", type=_count(1), default=12)
+    if p := subparser("asymptote", "moment polynomial matching the curve tail"):
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("dist")
 
-    p = sub.add_parser("export-curve", help="sample a curve on a rational grid")
-    p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--grid", type=_count(2), default=33)
-    p.add_argument("--csv-out", default=None)
-    p.add_argument("dist")
+    if p := subparser("filter", "run the necessary-condition prefilters only"):
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("left")
+        p.add_argument("right")
+
+    if p := subparser("noise-search", "search for dominance-creating noise"):
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--relation", choices=("sd", "isd"), default="sd")
+        p.add_argument("--max-candidates", type=_count(1), default=64)
+        p.add_argument("--support-cap", type=_count(1), default=10**6)
+        p.add_argument("--spread", type=_count(1), default=1)
+        p.add_argument("left")
+        p.add_argument("right")
+
+    if p := subparser("falsify", "run a registered property suite"):
+        from .falsify import registered_suites
+
+        p.add_argument("--suite", required=True, help=", ".join(registered_suites()))
+        p.add_argument("--trials", type=_count(1), default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--denominator-cap", type=_count(1), default=12)
+
+    if p := subparser("export-curve", "sample a curve on a rational grid"):
+        from .transforms import CurveKind
+
+        p.add_argument("--kind", choices=sorted(k.value for k in CurveKind), required=True)
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--grid", type=_count(2), default=33)
+        p.add_argument("--csv-out", default=None)
+        p.add_argument("dist")
 
     return parser
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
+    # the top-level parser has no option but --help, so the first word that
+    # is not an option is the command (or an unknown word argparse rejects)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = _build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -248,7 +271,24 @@ def run_cli(argv) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command == "falsify":
+        from .falsify import GenConfig, run_property_suite
+
+        cfg = GenConfig(seed=args.seed, denominator_cap=args.denominator_cap)
+        report = run_property_suite(args.suite, args.trials, cfg)
+        _emit(
+            "falsify",
+            {"suite": args.suite, "trials": args.trials, "seed": args.seed},
+            _suite_json(report),
+        )
+        return 0 if report.passed else 1
+
+    # every other command reads its input from files
+    from .fileio import load_distribution
+
     if args.command == "compare":
+        from .dominance import Relation, isd_compare, sd_compare, strong_isd_compare
+
         x = load_distribution(args.left)
         y = load_distribution(args.right)
         decide = {"sd": sd_compare, "isd": isd_compare, "strong-isd": strong_isd_compare}[
@@ -264,6 +304,8 @@ def _dispatch(args) -> int:
         return 0 if verdict.relation is Relation.LEFT_DOMINATED else 1
 
     if args.command == "moments":
+        from .distributions import min_orderstat_means, raw_moment
+
         d = load_distribution(args.dist)
         result: dict = {}
         for k in range(1, args.upto + 1):
@@ -274,6 +316,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "transform":
+        from .transforms import CurveKind, integrated_curve
+
         d = load_distribution(args.dist)
         kind = CurveKind(args.kind)
         curve = integrated_curve(d, kind, args.order).curve
@@ -295,6 +339,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "asymptote":
+        from .transforms import asymptote
+
         d = load_distribution(args.dist)
         a = asymptote(d, args.order)
         _emit(
@@ -309,6 +355,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "filter":
+        from .filters import isd_orderstat_filter, sd_moment_filter
+
         x = load_distribution(args.left)
         y = load_distribution(args.right)
         result = {"sd_moment": _filter_json(sd_moment_filter(x, y, args.order))}
@@ -326,6 +374,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "noise-search":
+        from .noise import SearchBudget, SearchStatus, noise_search
+
         x = load_distribution(args.left)
         y = load_distribution(args.right)
         budget = SearchBudget(
@@ -342,17 +392,10 @@ def _dispatch(args) -> int:
         )
         return 0 if report.status is SearchStatus.FOUND else 1
 
-    if args.command == "falsify":
-        cfg = GenConfig(seed=args.seed, denominator_cap=args.denominator_cap)
-        report = run_property_suite(args.suite, args.trials, cfg)
-        _emit(
-            "falsify",
-            {"suite": args.suite, "trials": args.trials, "seed": args.seed},
-            _suite_json(report),
-        )
-        return 0 if report.passed else 1
-
     if args.command == "export-curve":
+        from .fileio import curve_sample_csv, export_curve
+        from .transforms import CurveKind
+
         d = load_distribution(args.dist)
         sample = export_curve(d, CurveKind(args.kind), args.order, args.grid)
         if args.csv_out:
@@ -377,7 +420,16 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``stochdom ... | head``): say so by the exit
+        # code alone, and point stdout at devnull so the flush at exit
+        # cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

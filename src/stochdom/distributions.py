@@ -12,10 +12,18 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ._scalar import Rat, ZERO, ONE, rat
-from .errors import EmptySupport, MassNotOne, NegativeMass, OrderOutOfRange, SupportCapExceeded
+from .errors import (
+    EmptySupport,
+    InvalidArgument,
+    MassNotOne,
+    NegativeMass,
+    OrderOutOfRange,
+    SupportCapExceeded,
+)
 
 CONVOLVE_CAP = 10**6
 
@@ -60,19 +68,29 @@ def dist_validate(raw: Iterable[tuple]) -> DiscreteDistribution:
     """Sort by value, merge duplicate values, drop zero masses, and check
     that the total mass is exactly one.
 
+    One sorted pass: equal values are adjacent after the sort, and the
+    total is summed on integers over the masses' common denominator.
+
     Raises NegativeMass, MassNotOne, or EmptySupport.
     """
     items = [(rat(v), rat(m)) for v, m in raw]
     for v, m in items:
         if m < 0:
             raise NegativeMass(f"atom at {v} has negative mass {m}")
-    merged: dict = {}
+    items.sort(key=itemgetter(0))
+    merged = []
+    last = None
     for v, m in items:
-        merged[v] = merged.get(v, ZERO) + m
-    atoms = tuple((v, m) for v, m in sorted(merged.items()) if m != 0)
+        if v == last:
+            merged[-1] = (v, merged[-1][1] + m)
+        else:
+            merged.append((v, m))
+            last = v
+    atoms = tuple((v, m) for v, m in merged if m != 0)
     if not atoms:
         raise EmptySupport("no atoms with positive mass")
-    total = sum((m for _, m in atoms), ZERO)
+    unit = math.lcm(*(m.denominator for _, m in atoms))
+    total = Rat(sum(m.numerator * (unit // m.denominator) for _, m in atoms), unit)
     if total != 1:
         raise MassNotOne(f"masses sum to {total}, not 1")
     return DiscreteDistribution(atoms)
@@ -106,7 +124,7 @@ class QuantileStep:
     def __call__(self, p) -> Rat:
         p = rat(p)
         if p < 0 or p > 1:
-            raise ValueError("quantile argument must lie in [0, 1]")
+            raise InvalidArgument(f"quantile argument {p} must lie in [0, 1]")
         if p == 0:
             return self.values[0]
         idx = bisect_left(self.cut_points, p)

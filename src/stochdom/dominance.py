@@ -39,10 +39,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+# traced entry points are called through their modules (see the package docstring)
+from . import exact
 from ._scalar import Rat, rat
 from .distributions import DiscreteDistribution, min_orderstat_means
 from .errors import OrderOutOfRange
-from .exact import Piece, PiecewisePolynomial, _piece_sign, pw_nonneg
+from .exact import Piece, PiecewisePolynomial, _piece_sign
 from .transforms import CurveKind, difference_curve
 
 
@@ -110,7 +112,7 @@ def _decide(diff: PiecewisePolynomial, mode: str, order: int, open_unit: bool) -
     """Shared comparison core: LeftDominated iff diff >= 0 everywhere."""
     if diff.is_zero:
         return Verdict(Relation.EQUIVALENT, False, None, None, (), mode, order)
-    res = pw_nonneg(diff)
+    res = exact.pw_nonneg(diff)
     witness_left = witness_right = None
     if not res.nonnegative:
         witness_right = _witness(diff, res.witness, -res.witness_value, open_unit)

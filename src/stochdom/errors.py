@@ -65,3 +65,8 @@ class ParseError(StochdomError):
 
 class ValueTooLarge(StochdomError):
     """An exact value has too many digits to be written out."""
+
+
+class InvalidArgument(StochdomError, ValueError):
+    """An argument lies outside the values a call accepts.  It is also a
+    ValueError, so callers that catch ValueError still catch it."""

@@ -25,27 +25,18 @@ from dataclasses import dataclass, replace
 from itertools import product as _iter_product
 from typing import Callable, Optional
 
+# traced entry points are called through their modules (see the package docstring)
+from . import distributions, dominance, exact
 from ._scalar import Rat, ZERO, ONE, rat, rat_str
 from .distributions import (
     DiscreteDistribution,
-    convolve,
     dist_validate,
-    min_orderstat_mean,
     min_orderstat_means,
     quantile,
     raw_moment,
 )
-from .dominance import Relation, isd_compare, sd_compare
+from .dominance import Relation
 from .errors import GenerationExhausted, UnknownSuite
-from .exact import pw_linear_combine, pw_nonneg
-from .filters import filter_consistency_audit
-from .noise import (
-    NoiseSearchReport,
-    SearchBudget,
-    SearchStatus,
-    noise_precondition,
-    noise_search,
-)
 from .transforms import (
     CurveKind,
     asymptote,
@@ -53,7 +44,9 @@ from .transforms import (
     integrated_curve,
     integrated_curve_via_recursion,
 )
-from .noise import dominance_gap_integral
+
+# ``noise`` and ``filters`` are imported by the suites that call them, so
+# a run of any other suite loads neither.
 
 # ---------------------------------------------------------------------------
 # deterministic pseudo-random stream
@@ -451,7 +444,7 @@ def _suite_fishburn(trials: int, cfg: GenConfig) -> PropertySuiteReport:
                 continue
         else:
             pair = _dominated_pair(rng, cfg)
-        verdict = sd_compare(pair[0], pair[1], n)
+        verdict = dominance.sd_compare(pair[0], pair[1], n)
         if verdict.relation is Relation.LEFT_DOMINATED:
             dominated, dominator = pair
         elif verdict.relation is Relation.RIGHT_DOMINATED:
@@ -499,7 +492,7 @@ def _suite_isd_orderstat(trials: int, cfg: GenConfig) -> PropertySuiteReport:
             pair = _dominated_pair(rng, cfg)
         else:
             pair = _free_pair(rng, cfg)
-        verdict = isd_compare(pair[0], pair[1], n)
+        verdict = dominance.isd_compare(pair[0], pair[1], n)
         if verdict.relation is Relation.LEFT_DOMINATED:
             dominated, dominator = pair
         elif verdict.relation is Relation.RIGHT_DOMINATED:
@@ -553,8 +546,8 @@ def _suite_low_order_equivalence(trials: int, cfg: GenConfig) -> PropertySuiteRe
         rng = run.trial_rng(t)
         n = 1 + rng.below(2)
         pair = _dominated_pair(rng, cfg) if rng.below(2) else _free_pair(rng, cfg)
-        vs = sd_compare(pair[0], pair[1], n)
-        vi = isd_compare(pair[0], pair[1], n)
+        vs = dominance.sd_compare(pair[0], pair[1], n)
+        vi = dominance.isd_compare(pair[0], pair[1], n)
         if (vs.relation, vs.strict) != (vi.relation, vi.strict):
             run.violate(
                 t, _pair_snapshot(*pair), "low-order-equivalence",
@@ -570,7 +563,7 @@ def _suite_order_monotonicity(trials: int, cfg: GenConfig) -> PropertySuiteRepor
     run = _SuiteRun("order-monotonicity", cfg)
     for t in range(trials):
         rng = run.trial_rng(t)
-        compare = sd_compare if t % 2 == 0 else isd_compare
+        compare = dominance.sd_compare if t % 2 == 0 else dominance.isd_compare
         pair = _dominated_pair(rng, cfg) if rng.below(2) else _free_pair(rng, cfg)
         prev = None
         for n in range(1, 7):
@@ -616,7 +609,7 @@ def _suite_mu_oracle(trials: int, cfg: GenConfig) -> PropertySuiteReport:
         rng = run.trial_rng(t)
         d = _random_dist(rng, replace(small, seed=rng.next_u64()))
         k = rng.randint(1, 6)
-        mu = min_orderstat_mean(d, k)
+        mu = distributions.min_orderstat_mean(d, k)
         brute = _brute_min_orderstat(d, k)
         via_curve = math.factorial(k) * integrated_curve(d, CurveKind.QUANTILE, k + 1).curve(ONE)
         if mu != brute or mu != via_curve:
@@ -658,6 +651,8 @@ def _suite_asymptote(trials: int, cfg: GenConfig) -> PropertySuiteReport:
 
 def _suite_gamma_identity(trials: int, cfg: GenConfig) -> PropertySuiteReport:
     """Gap integral equals the alternating n-th moment difference."""
+    from .noise import dominance_gap_integral
+
     run = _SuiteRun("gamma-identity", cfg)
     produced = 0
     attempt = 0
@@ -713,27 +708,27 @@ def _fixable_order1_pair(
         y = dist_validate(atoms)
         if raw_moment(x, 1) <= raw_moment(y, 1):
             continue
-        if sd_compare(y, x, 1).relation is Relation.LEFT_DOMINATED:
+        if dominance.sd_compare(y, x, 1).relation is Relation.LEFT_DOMINATED:
             continue  # want a pair the identity noise cannot settle
         gap2 = difference_curve(y, x, CurveKind.CDF, 2)
-        if not pw_nonneg(gap2).nonnegative:
+        if not exact.pw_nonneg(gap2).nonnegative:
             continue
         surv2 = difference_curve(x, y, CurveKind.SURVIVAL, 2)
-        if not pw_nonneg(surv2).nonnegative:
+        if not exact.pw_nonneg(surv2).nonnegative:
             continue
         return x, y
     return None
 
 
-def _reverify_found(report: NoiseSearchReport, x, y, n: int) -> bool:
+def _reverify_found(report, x, y, n: int) -> bool:
     """Re-verify a Found result through the recursive curve construction,
     an independent path from the signed-measure builder the search used."""
-    cx = convolve(x, report.z)
-    cy = convolve(y, report.z)
+    cx = distributions.convolve(x, report.z)
+    cy = distributions.convolve(y, report.z)
     fd = integrated_curve_via_recursion(cy, CurveKind.CDF, n).curve
     fo = integrated_curve_via_recursion(cx, CurveKind.CDF, n).curve
-    diff = pw_linear_combine(fd, fo, 1, -1)
-    return (not diff.is_zero) and pw_nonneg(diff).nonnegative
+    diff = exact.pw_linear_combine(fd, fo, 1, -1)
+    return (not diff.is_zero) and exact.pw_nonneg(diff).nonnegative
 
 
 def _suite_noise(trials: int, cfg: GenConfig) -> PropertySuiteReport:
@@ -746,6 +741,8 @@ def _suite_noise(trials: int, cfg: GenConfig) -> PropertySuiteReport:
     walk honest -- their NotFound outcomes are logged, never asserted
     away.
     """
+    from .noise import SearchStatus, noise_precondition, noise_search
+
     run = _SuiteRun("noise", cfg)
     for t in range(trials):
         rng = run.trial_rng(t)
@@ -811,8 +808,8 @@ def _suite_separation(trials: int, cfg: GenConfig) -> PropertySuiteReport:
     for t in range(trials):
         rng = run.trial_rng(t)
         pair = _free_pair(rng, cfg) if rng.below(2) else _dominated_pair(rng, cfg)
-        vs = sd_compare(pair[0], pair[1], 3)
-        vi = isd_compare(pair[0], pair[1], 3)
+        vs = dominance.sd_compare(pair[0], pair[1], 3)
+        vi = dominance.isd_compare(pair[0], pair[1], 3)
         if vs.relation is not vi.relation:
             run.witness(
                 t, _pair_snapshot(*pair), "sd-isd-separation",
@@ -824,6 +821,8 @@ def _suite_separation(trials: int, cfg: GenConfig) -> PropertySuiteReport:
 
 def _suite_filter_audit(trials: int, cfg: GenConfig) -> PropertySuiteReport:
     """Prefilters never refute a direction the exact decision confirms."""
+    from .filters import filter_consistency_audit
+
     run = _SuiteRun("filter-audit", cfg)
     for t in range(trials):
         rng = run.trial_rng(t)
@@ -840,6 +839,8 @@ def _suite_filter_audit(trials: int, cfg: GenConfig) -> PropertySuiteReport:
 def _suite_isd_noise_probe(trials: int, cfg: GenConfig) -> PropertySuiteReport:
     """Experimental probe of the inverse-dominance noise question; results
     are logged descriptively, never asserted."""
+    from .noise import SearchBudget, SearchStatus, noise_search
+
     run = _SuiteRun("isd-noise-probe", cfg)
     for t in range(trials):
         rng = run.trial_rng(t)
@@ -849,10 +850,10 @@ def _suite_isd_noise_probe(trials: int, cfg: GenConfig) -> PropertySuiteReport:
         except GenerationExhausted:
             run.bump("generation-exhausted")
             continue
-        if min_orderstat_mean(x, n) == min_orderstat_mean(y, n):
+        if distributions.min_orderstat_mean(x, n) == distributions.min_orderstat_mean(y, n):
             run.bump("tied-top-moment")
             continue
-        if min_orderstat_mean(x, n) > min_orderstat_mean(y, n):
+        if distributions.min_orderstat_mean(x, n) > distributions.min_orderstat_mean(y, n):
             x, y = y, x
         report = noise_search(x, y, n, SearchBudget(max_candidates=24), relation="isd")
         run.bump(f"status-{report.status.value}")

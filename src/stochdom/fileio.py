@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._scalar import Rat, rat, rat_str, decimal_str
 from .distributions import DiscreteDistribution, dist_validate
-from .errors import ParseError
-from .transforms import CurveKind, integrated_curve
+from .errors import InvalidArgument, ParseError
+
+if TYPE_CHECKING:
+    from .transforms import CurveKind
 
 
 def _parse_scalar(raw, where: str) -> Rat:
@@ -108,8 +110,11 @@ def export_curve(
     """Sample the exact curve at equally spaced rational grid points over
     its natural hull: [0, 1] for quantile kinds, [min-1, max+1] for the
     real-line kinds."""
+    # the curve engine loads here, so parsing a file never loads it
+    from .transforms import CurveKind, integrated_curve
+
     if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+        raise InvalidArgument(f"grid_size must be at least 2, got {grid_size}")
     curve = integrated_curve(d, kind, n).curve
     if kind in (CurveKind.QUANTILE, CurveKind.UPPER_QUANTILE):
         lo, hi = rat(0), rat(1)

@@ -32,9 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+# traced entry points are called through their modules (see the package docstring)
+from . import dominance
 from ._scalar import Rat
 from .distributions import DiscreteDistribution, min_orderstat_means, raw_moment
-from .dominance import Relation, isd_compare, sd_compare
+from .dominance import Relation
 from .errors import OrderOutOfRange
 from .transforms import N_MAX
 
@@ -199,7 +201,7 @@ def filter_consistency_audit(
     The one-sided order-statistic filter is audited both ways by swapping
     its arguments.
     """
-    sd_verdict = sd_compare(x, y, n)
+    sd_verdict = dominance.sd_compare(x, y, n)
     sd_report = sd_moment_filter(x, y, n)
     left_confirmed = sd_verdict.relation in (
         Relation.LEFT_DOMINATED,
@@ -214,7 +216,7 @@ def filter_consistency_audit(
     if sd_report.refutes_right and right_confirmed:
         return False
     if n >= 3:
-        isd_verdict = isd_compare(x, y, n)
+        isd_verdict = dominance.isd_compare(x, y, n)
         left_confirmed = isd_verdict.relation in (
             Relation.LEFT_DOMINATED,
             Relation.EQUIVALENT,

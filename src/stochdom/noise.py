@@ -32,16 +32,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+# traced entry points are called through their modules (see the package docstring)
+from . import distributions, dominance, exact
 from ._scalar import Rat, ZERO, rat
-from .distributions import (
-    DiscreteDistribution,
-    convolve,
-    min_orderstat_means,
-    raw_moment,
-)
-from .dominance import Relation, Verdict, isd_compare, sd_compare
-from .errors import InvalidBudget, MomentHypothesisViolated, OrderOutOfRange
-from .exact import pw_linear_combine, pw_integral
+from .distributions import DiscreteDistribution, min_orderstat_means, raw_moment
+from .dominance import Relation, Verdict
+from .errors import InvalidArgument, InvalidBudget, MomentHypothesisViolated, OrderOutOfRange
+from .exact import pw_integral
 from .transforms import N_MAX, CurveKind, integrated_curve
 
 
@@ -177,7 +174,7 @@ def noise_search(
     relation="isd" is the experimental inverse-dominance probe.
     """
     if relation not in ("sd", "isd"):
-        raise ValueError("relation must be 'sd' or 'isd'")
+        raise InvalidArgument(f"relation must be 'sd' or 'isd', got {relation!r}")
     if budget.spread < 1:
         # a lattice step of spread/q <= 0 stacks or reverses the atoms of Z
         raise InvalidBudget(f"spread must be at least 1, got {budget.spread}")
@@ -221,13 +218,13 @@ def noise_search(
             notes.append(f"support cap stopped the walk at half-width {k}")
             break
         z = _uniform_lattice(k, h)
-        cx = convolve(x, z, budget.support_cap)
-        cy = convolve(y, z, budget.support_cap)
+        cx = distributions.convolve(x, z, budget.support_cap)
+        cy = distributions.convolve(y, z, budget.support_cap)
         tried += 1
         if relation == "sd":
-            verdict = sd_compare(cy, cx, n)
+            verdict = dominance.sd_compare(cy, cx, n)
         else:
-            verdict = isd_compare(cx, cy, n)
+            verdict = dominance.isd_compare(cx, cy, n)
         if verdict.relation is Relation.LEFT_DOMINATED and verdict.strict:
             return NoiseSearchReport(
                 SearchStatus.FOUND, z, verdict, pre.gamma, tried, budget, tuple(notes)
@@ -254,7 +251,7 @@ def dominance_gap_integral(
     for k in range(1, n):
         if raw_moment(x, k) != raw_moment(y, k):
             raise MomentHypothesisViolated(k)
-    diff = pw_linear_combine(
+    diff = exact.pw_linear_combine(
         integrated_curve(y, CurveKind.CDF, n).curve,
         integrated_curve(x, CurveKind.CDF, n).curve,
         1,

@@ -45,7 +45,7 @@ from typing import Sequence
 
 from ._scalar import Rat, ZERO, ONE, rat
 from .distributions import DiscreteDistribution, min_orderstat_means, quantile, raw_moment
-from .errors import OrderOutOfRange
+from .errors import InvalidArgument, OrderOutOfRange
 from .exact import (
     NEG_INF,
     POS_INF,
@@ -195,7 +195,7 @@ def orderstat_expansion(d: DiscreteDistribution, n: int, p) -> Rat:
     _check_order(n, minimum=3)
     p = rat(p)
     if not p < 1:
-        raise ValueError("the expansion point must satisfy p < 1")
+        raise InvalidArgument(f"the expansion point {p} must satisfy p < 1")
     one_minus = ONE - p
     total = ZERO
     for j, mu in enumerate(min_orderstat_means(d, n - 1), 1):

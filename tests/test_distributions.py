@@ -18,9 +18,11 @@ from stochdom import (
 )
 from stochdom.errors import (
     EmptySupport,
+    InvalidArgument,
     MassNotOne,
     NegativeMass,
     OrderOutOfRange,
+    StochdomError,
     SupportCapExceeded,
 )
 from stochdom.falsify import GenConfig, SplitMix64, _brute_min_orderstat, _random_dist
@@ -80,6 +82,13 @@ def test_quantile_left_continuity(jumpy_pair):
     assert q(rat(1, 2)) == 0  # value at the cut belongs to the left piece
     assert q(rat(1, 2) + rat(1, 1000)) == 10
     assert q(0) == 0 and q(1) == 10
+
+
+@pytest.mark.parametrize("p", [rat(-1, 10), rat(11, 10)])
+def test_quantile_rejects_argument_outside_unit_interval(jumpy_pair, p):
+    with pytest.raises(InvalidArgument, match="must lie in") as err:
+        quantile(jumpy_pair[0])(p)
+    assert isinstance(err.value, ValueError) and isinstance(err.value, StochdomError)
 
 
 def test_quantile_round_trip(crossing_triples):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,7 @@ from stochdom import (
 )
 from stochdom._scalar import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT, rat_str
 from stochdom.cli import run_cli
-from stochdom.errors import MassNotOne, ParseError, StochdomError, ValueTooLarge
+from stochdom.errors import InvalidArgument, MassNotOne, ParseError, StochdomError, ValueTooLarge
 from stochdom.fileio import curve_sample_csv, distribution_doc
 from stochdom.transforms import CurveKind
 
@@ -168,6 +171,12 @@ def test_export_rejects_tiny_grid(crossing_triples):
         export_curve(crossing_triples[0], CurveKind.CDF, 2, 1)
 
 
+def test_export_grid_error_is_a_stochdom_error(crossing_triples):
+    with pytest.raises(InvalidArgument, match="at least 2") as err:
+        export_curve(crossing_triples[0], CurveKind.CDF, 2, 1)
+    assert isinstance(err.value, ValueError) and isinstance(err.value, StochdomError)
+
+
 def test_csv_rendering(jumpy_pair):
     sample = export_curve(jumpy_pair[0], CurveKind.QUANTILE, 3, 5)
     text = curve_sample_csv(sample)
@@ -302,6 +311,25 @@ def test_cli_rejects_out_of_range_counts(args, files, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: argument" in err
+
+
+def test_cli_closed_stdout_exits_3_without_traceback(files):
+    """A reader that goes away early (``stochdom ... | head``) ends the run
+    with exit code 3, not a BrokenPipeError traceback and exit 1."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(run_cli.__code__.co_filename)))
+    # about 400 KB of output, far past a pipe's buffer, so the writer is
+    # still writing when the reader closes its end
+    cmd = [sys.executable, "-m", "stochdom.cli", "export-curve", "--kind", "cdf",
+           "--order", "3", "--grid", "4000", files["x34"]]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3
+    assert head.startswith(b"{")
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_cli_input_error(tmp_path, capsys):

@@ -17,7 +17,12 @@ from stochdom import (
     sd_compare,
 )
 from stochdom.distributions import convolve, raw_moment
-from stochdom.errors import InvalidBudget, MomentHypothesisViolated, StochdomError
+from stochdom.errors import (
+    InvalidArgument,
+    InvalidBudget,
+    MomentHypothesisViolated,
+    StochdomError,
+)
 from stochdom.falsify import GenConfig, SplitMix64, _random_dist, gen_moment_matched_pair
 from dataclasses import replace
 
@@ -113,6 +118,13 @@ def test_search_isd_probe_runs():
     report = noise_search(base, spread, 2, relation="isd")
     assert report.status in (SearchStatus.FOUND, SearchStatus.NOT_FOUND,
                              SearchStatus.PRECONDITION_REFUTED)
+
+
+def test_search_rejects_unknown_relation(mps_pair):
+    spread, base = mps_pair
+    with pytest.raises(InvalidArgument, match="'strong-isd'") as err:
+        noise_search(base, spread, 2, relation="strong-isd")
+    assert isinstance(err.value, ValueError) and isinstance(err.value, StochdomError)
 
 
 def test_gap_integral_identical():

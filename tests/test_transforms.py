@@ -19,7 +19,7 @@ from stochdom import (
     rat,
     raw_moment,
 )
-from stochdom.errors import OrderOutOfRange
+from stochdom.errors import InvalidArgument, OrderOutOfRange, StochdomError
 from stochdom.exact import (
     NEG_INF,
     POS_INF,
@@ -414,6 +414,13 @@ def test_expansion_order3_at_zero(spread_vs_point):
 
 def test_expansion_order3_point_mass_midpoint():
     assert orderstat_expansion(point_mass(3), 3, rat(1, 2)) == 0
+
+
+@pytest.mark.parametrize("p", [1, rat(3, 2)])
+def test_expansion_rejects_p_at_or_above_one(spread_vs_point, p):
+    with pytest.raises(InvalidArgument, match="p < 1") as err:
+        orderstat_expansion(spread_vs_point[0], 3, p)
+    assert isinstance(err.value, ValueError) and isinstance(err.value, StochdomError)
 
 
 def test_expansion_order4_point_mass_at_one():
